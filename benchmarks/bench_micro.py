@@ -80,28 +80,8 @@ def test_micro_simulated_iterations(benchmark, machine, big_loop):
         return simulate_loop(
             compiled.result, machine, layout, [1000],
             memory=MemorySystem(machine.timings),
-            backend="interp",
         )
 
     result = benchmark(run)
     assert result.total_iterations == 1000
 
-
-def test_micro_simulated_iterations_fast(benchmark, machine, big_loop):
-    """Same workload through the compiled replayer (see docs/sim.md)."""
-    loop, layout = big_loop
-    compiled = LoopCompiler(machine, base_cfg()).compile(loop)
-    # warm the kernel so one-time codegen stays out of the timing rounds
-    simulate_loop(compiled.result, machine, layout, [1000],
-                  memory=MemorySystem(machine.timings), backend="fast")
-
-    def run():
-        return simulate_loop(
-            compiled.result, machine, layout, [1000],
-            memory=MemorySystem(machine.timings),
-            backend="fast",
-        )
-
-    result = benchmark(run)
-    assert result.backend == "fast"
-    assert result.total_iterations == 1000

@@ -132,17 +132,6 @@ def make_config(args: argparse.Namespace) -> CompilerConfig:
     )
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=["interp", "fast"],
-        default="",
-        help="simulator backend (default: the session default, fast); "
-             "backends are bit-identical, so results and cache entries "
-             "are shared either way",
-    )
-
-
 def _add_machine_arg(parser: argparse.ArgumentParser) -> None:
     from repro.machine import machine_names
 
@@ -318,7 +307,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         layout,
         [args.trips] * args.invocations,
         memory=machine.memory_system(),
-        backend=args.backend or None,
     )
     c = run.counters
     print(f"cycles: {run.cycles:,.0f} "
@@ -471,7 +459,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         suite_name=args.suite,
         verify=args.verify,
         trace=args.trace,
-        backend=args.backend,
     )
     result = compare_configs(run, base.label, variant.label)
     print(format_gain_table(
@@ -570,7 +557,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         manifest_path=manifest_path,
         verify=args.verify,
         trace=args.trace,
-        backend=args.backend,
     )
     if variants:
         results = {
@@ -917,7 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="working-set size per memory space, e.g. a=64M or a=8K:stream",
     )
     _add_config_args(p_sim)
-    _add_backend_arg(p_sim)
     _add_machine_arg(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -970,7 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record per-cell stall-attribution summaries "
                             "in the manifest")
     _add_config_args(p_exp)
-    _add_backend_arg(p_exp)
     _add_machine_arg(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -1016,7 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trace", action="store_true",
                          help="record per-cell stall-attribution summaries "
                               "in the manifest")
-    _add_backend_arg(p_bench)
     _add_machine_arg(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

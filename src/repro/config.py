@@ -25,43 +25,6 @@ from dataclasses import dataclass, field, replace
 from repro.errors import ConfigError
 
 
-class SimBackend(enum.Enum):
-    """Which simulator executes compiled loops.
-
-    Both backends implement the *same* dynamic semantics (Sec. 2.1
-    stall-on-use, OzQ occupancy, TLB) and are held to bit-identical
-    :class:`repro.sim.counters.PerfCounters` by the differential test
-    suite; the choice is purely an execution-speed knob and therefore
-    never part of any content address (cached results are shared).
-    """
-
-    #: the reference per-cycle interpreter (`repro.sim.core`)
-    INTERP = "interp"
-    #: the table-driven schedule replayer (`repro.sim.fastpath`); falls
-    #: back to the interpreter for features it cannot replay (traced
-    #: runs, instrumented memory systems)
-    FAST = "fast"
-
-    @staticmethod
-    def parse(name: "str | SimBackend | None") -> "SimBackend":
-        """Normalise a CLI/service/API spelling to a backend."""
-        if name is None or name == "":
-            return DEFAULT_SIM_BACKEND
-        if isinstance(name, SimBackend):
-            return name
-        try:
-            return SimBackend(name)
-        except ValueError:
-            raise ConfigError(
-                f"unknown sim backend {name!r} (expected one of "
-                f"{', '.join(b.value for b in SimBackend)})"
-            ) from None
-
-
-#: the replayer is the default; the interpreter remains the reference
-DEFAULT_SIM_BACKEND = SimBackend.FAST
-
-
 #: registered modulo schedulers: the paper's iterative heuristic and the
 #: exact branch-and-bound solver (`repro.pipeliner.optimal`)
 SCHEDULERS = ("heuristic", "optimal")

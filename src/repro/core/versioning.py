@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.config import CompilerConfig, SimBackend
+from repro.config import CompilerConfig
 from repro.core.compiler import CompiledLoop, LoopCompiler
 from repro.hlo.profiles import BlockProfile
 from repro.ir.loop import Loop
@@ -24,12 +24,6 @@ from repro.machine.itanium2 import ItaniumMachine
 from repro.sim.address import AddressMap, StreamSpec, build_streams
 from repro.sim.core import prepare_execution, run_iterations
 from repro.sim.counters import PerfCounters
-from repro.sim.fastpath import (
-    compile_kernel,
-    fast_machine_supported,
-    fast_replay_supported,
-    run_iterations_fast,
-)
 from repro.sim.executor import (
     FLUSH_CYCLES,
     FRONTEND_CYCLES,
@@ -97,7 +91,6 @@ def simulate_versioned(
     trip_counts: list[int] | np.ndarray,
     memory: MemorySystem | None = None,
     seed: int = 11,
-    backend: SimBackend | str | None = None,
 ) -> LoopRunResult:
     """Execute a versioned loop, switching per invocation at run time.
 
@@ -107,12 +100,6 @@ def simulate_versioned(
     """
     memory = memory or machine.memory_system()
     counters = PerfCounters()
-    backend = SimBackend.parse(backend)
-    use_fast = (
-        backend is SimBackend.FAST
-        and fast_machine_supported(machine)
-        and fast_replay_supported(memory)
-    )
     trips = [int(t) for t in trip_counts]
     total_iters = sum(trips)
     stream_len = max(total_iters, max(trips) if trips else 0)
@@ -153,17 +140,11 @@ def simulate_versioned(
         )
 
         base = 0 if reuse_spaces else running_base
-        if use_fast:
-            cycle = run_iterations_fast(
-                compile_kernel(setup), streams, base, n, memory,
-                machine.ozq_capacity, counters, cycle,
-            )
-        else:
-            cycle = run_iterations(
-                setup, streams, base, n, memory, machine.ozq_capacity,
-                counters, cycle, queue=machine.queue,
-                scoreboard=machine.scoreboard,
-            )
+        cycle = run_iterations(
+            setup, streams, base, n, memory, machine.ozq_capacity,
+            counters, cycle, queue=machine.queue,
+            scoreboard=machine.scoreboard,
+        )
         running_base += n
         counters.invocations += 1
 
@@ -173,5 +154,4 @@ def simulate_versioned(
         counters=counters,
         invocations=len(trips),
         total_iterations=total_iters,
-        backend=(SimBackend.FAST if use_fast else SimBackend.INTERP).value,
     )

@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from repro.config import CompilerConfig, SimBackend, baseline_config
+from repro.config import CompilerConfig, baseline_config
 from repro.core.compiler import LoopCompiler
 from repro.core.results import SERIAL_SPLIT, BenchmarkResult, LoopOutcome
 from repro.hlo.profiles import BlockProfile, collect_block_profile
@@ -52,9 +52,6 @@ class BenchmarkJob:
     verify: bool = False
     #: trace every loop run and attach a stall-attribution summary
     trace: bool = False
-    #: simulator backend ("interp" | "fast"; "" = the session default).
-    #: Backends are bit-identical, so this is never part of any cache key
-    backend: str = ""
 
     @property
     def key(self) -> tuple[str, str]:
@@ -101,8 +98,6 @@ class JobOutcome:
     trace: dict | None = None
     #: "ok" or "timeout"
     status: str = "ok"
-    #: resolved simulator backend the job requested ("interp" | "fast")
-    backend: str = ""
 
 
 def _stable(text: str) -> int:
@@ -160,7 +155,6 @@ def run_loops(
     profile: BlockProfile | None | object = _AUTO_PROFILE,
     verify: bool = False,
     trace: bool = False,
-    backend: SimBackend | str | None = None,
 ) -> LoopRunOutcome:
     """Compile and simulate every hot loop of ``bench`` under ``config``.
 
@@ -172,9 +166,7 @@ def run_loops(
     streaming :class:`repro.trace.StallAttribution` sink to every loop
     simulation, closed-accounts it against that loop's fresh counters and
     cycle total, and fills :attr:`LoopRunOutcome.trace` with the merged
-    summary.  Neither switch affects simulation results, and neither does
-    ``backend`` — the interpreter and the fast replayer are bit-identical
-    (traced runs always use the interpreter).
+    summary.  Neither switch affects simulation results.
     """
     if profile is _AUTO_PROFILE:
         profile = collect_profile(bench, seed) if config.pgo else None
@@ -211,7 +203,6 @@ def run_loops(
             memory=memory,
             seed=seed + pos,
             sink=sink,
-            backend=backend,
         )
         if verify:
             # post-simulation translation validation for *performance*:
@@ -420,7 +411,6 @@ def cached_loop_run(
     cache=None,
     verify: bool = False,
     trace: bool = False,
-    backend: SimBackend | str | None = None,
 ) -> tuple[LoopRunOutcome, bool]:
     """A loop run served from ``cache`` when possible; ``(run, was_hit)``.
 
@@ -430,14 +420,11 @@ def cached_loop_run(
     (the cache key is unchanged — cycles and counters are bit-identical).
     Traced runs address *separate* cache entries (``trace`` is part of the
     key), so a cache hit always carries the trace summary and returns it
-    byte-identical to a live run.  ``backend`` is deliberately *not* part
-    of the key: both backends produce bit-identical results, so an entry
-    written under one serves requests under the other.
+    byte-identical to a live run.
     """
     if cache is None:
         return run_loops(
             bench, config, machine, seed, verify=verify, trace=trace,
-            backend=backend,
         ), False
     from repro.harness.cache import hash_key
 
@@ -463,7 +450,6 @@ def cached_loop_run(
         )
     run = run_loops(
         bench, config, machine, seed, verify=verify, trace=trace,
-        backend=backend,
     )
     cache.put(key, {
         "benchmark": bench.name,
@@ -485,10 +471,9 @@ def run_job(job: BenchmarkJob, cache=None) -> JobOutcome:
     """
     start = time.perf_counter()
     bench = job.benchmark
-    backend = SimBackend.parse(job.backend or None)
     variant_run, variant_hit = cached_loop_run(
         bench, job.config, job.machine, job.seed, cache,
-        verify=job.verify, trace=job.trace, backend=backend,
+        verify=job.verify, trace=job.trace,
     )
     anchor_cfg = baseline_config()
     if job.config.label == anchor_cfg.label:
@@ -497,7 +482,7 @@ def run_job(job: BenchmarkJob, cache=None) -> JobOutcome:
         # the anchor is only priced, never reported: its own (benchmark,
         # baseline) cell carries the verification status for that config
         anchor_run, anchor_hit = cached_loop_run(
-            bench, anchor_cfg, job.machine, job.seed, cache, backend=backend
+            bench, anchor_cfg, job.machine, job.seed, cache
         )
     serial = bench.serial_factor * anchor_run.loop_cycles
     result = assemble_result(bench, job.config, variant_run, serial)
@@ -507,5 +492,4 @@ def run_job(job: BenchmarkJob, cache=None) -> JobOutcome:
         duration_s=time.perf_counter() - start,
         verification=variant_run.verification,
         trace=variant_run.trace,
-        backend=backend.value,
     )

@@ -20,6 +20,10 @@ from repro.errors import HarnessError
 
 MANIFEST_VERSION = 1
 
+#: cell fields older manifests carry that no longer exist; dropped on load
+#: (``backend`` named a second, bit-identical simulator)
+RETIRED_CELL_FIELDS = frozenset({"backend"})
+
 
 def current_git_sha(cwd: str | Path | None = None) -> str:
     """The checked-out commit, or ``"unknown"`` outside a git repo."""
@@ -74,15 +78,10 @@ class CellRecord:
     #: deadline (cycle fields are 0.0 and meaningless); the default keeps
     #: pre-status manifests loading through ``CellRecord(**cell)``
     status: str = "ok"
-    #: simulator backend the cell requested ("interp" | "fast"); purely
-    #: provenance — backends are bit-identical, so it stays out of
-    #: :meth:`RunManifest.fingerprint` and every cache key.  The default
-    #: keeps pre-backend manifests loading through ``CellRecord(**cell)``
-    backend: str = ""
     #: machine model the cell ran on, by registry name, plus the digest
-    #: of its full :class:`~repro.machine.MachineDescription`.  Unlike
-    #: ``backend`` the machine *determines* the cycles, so the manifest
-    #: fingerprint covers it — but only when it differs from the default
+    #: of its full :class:`~repro.machine.MachineDescription`.  The
+    #: machine *determines* the cycles, so the manifest fingerprint
+    #: covers it — but only when it differs from the default
     #: ``itanium2``, which keeps every pre-machine fingerprint stable.
     #: The defaults keep pre-machine manifests loading
     machine: str = ""
@@ -170,7 +169,11 @@ class RunManifest:
             raise HarnessError(
                 f"unsupported manifest version {data.get('version')!r}"
             )
-        cells = [CellRecord(**cell) for cell in data["cells"]]
+        cells = [
+            CellRecord(**{k: v for k, v in cell.items()
+                          if k not in RETIRED_CELL_FIELDS})
+            for cell in data["cells"]
+        ]
         fields = {
             f.name: data[f.name]
             for f in dataclasses.fields(RunManifest)

@@ -125,7 +125,6 @@ def run_jobs(
                 cache_hit=False,
                 duration_s=result.duration_s,
                 status="timeout",
-                backend=job.backend,
             ))
         else:
             if result.exception is not None:
@@ -177,7 +176,6 @@ def run_suite(
     manifest_path: str | Path | None = None,
     verify: bool = False,
     trace: bool = False,
-    backend: str = "",
 ) -> SuiteRun:
     """Run every benchmark under every config, in parallel, with caching.
 
@@ -190,13 +188,10 @@ def run_suite(
     ``trace`` attaches the :mod:`repro.trace` stall-attribution analyzer
     to every loop simulation and records the closed-accounted summary per
     manifest cell (simulated cycles are unaffected either way).
-    ``backend`` picks the simulator implementation per cell ("interp" |
-    "fast", "" = session default); backends are bit-identical, so the
-    choice is recorded in the manifest but never enters cache keys or
-    the manifest fingerprint.  ``machine`` selects the machine model
-    (default the itanium2 reference) — unlike the backend it determines
-    the cycles, so its name and description digest are recorded per cell
-    and the manifest fingerprint covers non-default machines.
+    ``machine`` selects the machine model (default the itanium2
+    reference); it determines the cycles, so its name and description
+    digest are recorded per cell and the manifest fingerprint covers
+    non-default machines.
     """
     machine = machine or ItaniumMachine()
     machine_digest = machine.digest()
@@ -209,7 +204,7 @@ def run_suite(
 
     jobs = [
         BenchmarkJob(benchmark=bench, config=config, machine=machine,
-                     seed=seed, verify=verify, trace=trace, backend=backend)
+                     seed=seed, verify=verify, trace=trace)
         for config in unique_configs
         for bench in benchmarks
     ]
@@ -234,7 +229,6 @@ def run_suite(
                 cache_hit=False,
                 duration_s=outcome.duration_s,
                 status=outcome.status,
-                backend=outcome.backend,
                 machine=machine.name,
                 machine_digest=machine_digest,
             ))
@@ -257,7 +251,6 @@ def run_suite(
             bounds_checked=bounds.get("checked", 0),
             bounds_violations=bounds.get("violations", 0),
             trace=outcome.trace,
-            backend=outcome.backend,
             machine=machine.name,
             machine_digest=machine_digest,
         ))

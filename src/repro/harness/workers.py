@@ -205,12 +205,14 @@ class WorkerPool:
             except queue_mod.Empty:
                 message = None
             with self._lock:
+                # close() fails every future and takes over the workers
+                # under this lock, so a closed pool has nothing to reap
+                if self._closed:
+                    return
                 if message is not None:
                     self._handle_message(message)
                 self._reap_expired()
                 self._reap_dead()
-                if self._closed and not self._futures:
-                    return
 
     def _handle_message(self, message) -> None:
         event, task_id, pid, outcome = message
@@ -275,8 +277,7 @@ class WorkerPool:
                     error=f"task exceeded the {timeout}s timeout",
                     duration_s=timeout or 0.0,
                 ))
-            if not self._closed:
-                self._spawn(slot_index)
+            self._spawn(slot_index)
 
     def _reap_dead(self) -> None:
         for pid in list(self._procs):
@@ -293,8 +294,6 @@ class WorkerPool:
                 # shared-memory slot is the authoritative record
                 raw = self._slots[slot_index]
                 task_id = int(raw) - 1 if raw else None
-            if self._closed:
-                continue
             if task_id is not None and task_id in self._futures:
                 self.crashed += 1
                 future = self._futures.pop(task_id)
@@ -311,13 +310,8 @@ class WorkerPool:
 
     def _kill(self, pid: int) -> None:
         proc = self._procs.pop(pid, None)
-        if proc is None:
-            return
-        proc.terminate()
-        proc.join(_TERM_GRACE_S)
-        if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-            proc.kill()
-            proc.join(_TERM_GRACE_S)
+        if proc is not None:
+            _terminate(proc)
 
     # --- teardown ------------------------------------------------------------
     def close(self, *, grace_s: float = 1.0) -> None:
@@ -339,18 +333,19 @@ class WorkerPool:
             self._timeouts.clear()
             self._on_start.clear()
             self._running.clear()
-        for _ in self._procs:
+            procs = list(self._procs.values())
+            self._procs.clear()
+            self._slot_of.clear()
+        for _ in procs:
             try:
                 self._tasks.put_nowait(None)
             except Exception:  # pragma: no cover - queue already broken
                 break
         deadline = time.monotonic() + grace_s
-        for pid, proc in list(self._procs.items()):
+        for proc in procs:
             proc.join(max(0.0, deadline - time.monotonic()))
             if proc.is_alive():
-                self._kill(pid)
-        self._procs.clear()
-        self._slot_of.clear()
+                _terminate(proc)
         self._tasks.close()
         self._supervisor.join(grace_s + _TERM_GRACE_S)
 
@@ -359,6 +354,15 @@ class WorkerPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _terminate(proc) -> None:
+    """SIGTERM ``proc``, escalating to SIGKILL after a grace period."""
+    proc.terminate()
+    proc.join(_TERM_GRACE_S)
+    if proc.is_alive():  # pragma: no cover - SIGTERM ignored
+        proc.kill()
+        proc.join(_TERM_GRACE_S)
 
 
 def run_supervised(

@@ -66,6 +66,15 @@ class ModuloReservationTable:
             row.used[u] < self.resources.capacities[u] for u in choices
         )
 
+    def branch_fits(self, row: int) -> bool:
+        """Whether ``row`` has the issue slot and B port the loop branch
+        takes (the reservation in the last row already holds them)."""
+        r = self._rows[row]
+        return (
+            r.issue < self.resources.issue_width
+            and r.used[UnitClass.B] < self.resources.capacities[UnitClass.B]
+        )
+
     def place(self, inst: Instruction, time: int) -> None:
         if inst in self._placed:
             raise ValueError(f"{inst!r} already placed")

@@ -78,7 +78,18 @@ def modulo_schedule(
         del times[inst]
         unscheduled.add(inst)
 
-    while unscheduled:
+    while True:
+        if not unscheduled:
+            # Schedule normalises the times to start at 0.  A shift that
+            # is not a multiple of II rotates every row, and the row that
+            # lands last must then also issue the loop branch, which the
+            # MRT reserved in its own last row: evict from that row
+            shift = min(times.values(), default=0)
+            last = (shift - 1) % ii
+            if shift % ii == 0 or mrt.branch_fits(last):
+                break
+            unschedule(max(mrt.occupants_of_row(last),
+                           key=lambda i: priority[i]))
         if budget <= 0:
             return None
         budget -= 1

@@ -122,7 +122,6 @@ def _run_simulate(canonical: dict, cache_root: str | None) -> dict:
         [canonical["trips"]] * canonical["invocations"],
         memory=machine.memory_system(),
         seed=canonical["seed"],
-        backend=canonical.get("backend") or None,
     )
     return {
         "loop": run.loop_name,
@@ -131,7 +130,6 @@ def _run_simulate(canonical: dict, cache_root: str | None) -> dict:
         "cycles_per_iteration": run.cycles_per_iteration,
         "iterations": run.total_iterations,
         "counters": counters_to_dict(run.counters),
-        "backend": run.backend,
     }
 
 
@@ -221,7 +219,6 @@ def _run_bench(canonical: dict, cache_root: str | None) -> dict:
         suite_name=canonical["suite"],
         verify=canonical["verify"],
         trace=canonical["trace"],
-        backend=canonical.get("backend", ""),
     )
     manifest = run.manifest
     gains = {

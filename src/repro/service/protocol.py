@@ -36,14 +36,9 @@ JOB_KINDS = ("compile", "simulate", "trace", "fuzz", "bench")
 SUITES = ("cpu2006", "cpu2000", "micro")
 POLICIES = tuple(policy.value for policy in HintPolicy)
 INJECT_MODES = ("none", "drop-edge")
-#: registered machine models; unlike ``backend`` the machine *determines*
-#: the result, so it stays in the canonical form and the request key
+#: registered machine models; the machine *determines* the result, so it
+#: stays in the canonical form and the request key
 MACHINES = tuple(machine_names())
-#: simulator backend choices; "" = the session default.  The backend is
-#: an execution hint, not a result-determining field — both backends are
-#: bit-identical — so :func:`request_key` strips it before hashing and
-#: cached results are shared across backends.
-BACKENDS = ("", "interp", "fast")
 
 #: request body size cap mirrored by the HTTP layer
 MAX_LOOP_BYTES = 1 << 20
@@ -187,10 +182,8 @@ def _normalize_spaces(payload: dict) -> dict:
 def _normalize_simulate(payload: dict, kind: str = "simulate") -> dict:
     known = {"loop", "trips", "invocations", "spaces", "seed",
              "machine"} | _CONFIG_KEYS
-    if kind == "simulate":  # traced runs pin the interpreter
-        known.add("backend")
     _reject_unknown(kind, payload, known)
-    canonical = {
+    return {
         "loop": _loop_text(payload),
         **_config_fields(payload),
         "machine": _machine(payload),
@@ -199,9 +192,6 @@ def _normalize_simulate(payload: dict, kind: str = "simulate") -> dict:
         "spaces": _normalize_spaces(payload),
         "seed": _int(payload, "seed", 11, lo=0, hi=2**31 - 1),
     }
-    if kind == "simulate":
-        canonical["backend"] = _choice(payload, "backend", "", BACKENDS)
-    return canonical
 
 
 def _normalize_trace(payload: dict) -> dict:
@@ -227,7 +217,7 @@ def _normalize_bench(payload: dict) -> dict:
     _reject_unknown(
         "bench", payload,
         {"suite", "benchmarks", "configs", "seed", "verify", "trace",
-         "backend", "machine"}
+         "machine"}
         | _CONFIG_KEYS - {"policy"},
     )
     suite = _choice(payload, "suite", None, SUITES)
@@ -256,7 +246,6 @@ def _normalize_bench(payload: dict) -> dict:
         "machine": _machine(payload),
         "verify": _bool(payload, "verify", False),
         "trace": _bool(payload, "trace", False),
-        "backend": _choice(payload, "backend", "", BACKENDS),
     }
 
 
@@ -298,18 +287,13 @@ def request_key(kind: str, canonical: dict) -> str:
     This is the job id, the dedup key, and the artifact-store key, all in
     one: the SHA-256 of the canonical JSON (plus the schema version, so a
     schema change invalidates stored results instead of mis-serving them).
-
-    The ``backend`` field is stripped before hashing: the interpreter and
-    the fast replayer are bit-identical, so a stored result satisfies a
-    resubmission under either backend — the choice is provenance, never
-    content.  The ``machine`` field is NOT stripped: different machine
-    models produce different cycles, so each machine addresses its own
-    stored artifact.
+    Different machine models produce different cycles, so each machine
+    addresses its own stored artifact.
     """
     return hash_key({
         "schema": SCHEMA_VERSION,
         "kind": kind,
-        "request": {k: v for k, v in canonical.items() if k != "backend"},
+        "request": canonical,
     })
 
 

@@ -27,12 +27,6 @@ from repro.sim.address import (
     build_streams,
 )
 from repro.sim.core import ExecutionSetup, prepare_execution, run_iterations
-from repro.sim.fastpath import (
-    CompiledKernel,
-    compile_kernel,
-    fast_replay_supported,
-    run_iterations_fast,
-)
 from repro.sim.executor import LoopRunResult, simulate_loop
 
 __all__ = [
@@ -49,10 +43,6 @@ __all__ = [
     "ExecutionSetup",
     "prepare_execution",
     "run_iterations",
-    "CompiledKernel",
-    "compile_kernel",
-    "fast_replay_supported",
-    "run_iterations_fast",
     "LoopRunResult",
     "simulate_loop",
 ]

@@ -35,13 +35,17 @@ class Cache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
+        # the geometry is fixed for the cache's life; the memory walk
+        # reads these once per access instead of recomputing num_sets
+        self._line_size = config.line_size
+        self._num_sets = config.num_sets
         self._sets: dict[int, OrderedDict[int, float]] = {}
         self.hits = 0
         self.misses = 0
 
     def _locate(self, addr: int) -> tuple[int, int]:
-        line = addr // self.config.line_size
-        return line % self.config.num_sets, line
+        line = addr // self._line_size
+        return line % self._num_sets, line
 
     def lookup(self, addr: int, now: float) -> float | None:
         """Extra delay if resident (0.0 for a settled line), else ``None``.
@@ -49,8 +53,9 @@ class Cache:
         A hit refreshes LRU order.  A line still being filled returns the
         remaining fill time.
         """
-        set_idx, tag = self._locate(addr)
-        ways = self._sets.get(set_idx)
+        # _locate inlined: this is the hottest call of the memory walk
+        tag = addr // self._line_size
+        ways = self._sets.get(tag % self._num_sets)
         if ways is None or tag not in ways:
             self.misses += 1
             return None
@@ -61,8 +66,11 @@ class Cache:
 
     def fill(self, addr: int, ready_time: float) -> None:
         """Install a line (evicting LRU as needed)."""
-        set_idx, tag = self._locate(addr)
-        ways = self._sets.setdefault(set_idx, OrderedDict())
+        tag = addr // self._line_size
+        set_idx = tag % self._num_sets
+        ways = self._sets.get(set_idx)
+        if ways is None:
+            ways = self._sets[set_idx] = OrderedDict()
         if tag in ways:
             ways.move_to_end(tag)
             ways[tag] = min(ways[tag], ready_time)

@@ -25,9 +25,9 @@ the list-schedule length and a single stage.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-
-import numpy as np
+import math
+from array import array
+from dataclasses import dataclass
 
 from repro.ddg.edges import DepKind
 from repro.ir.instructions import Instruction
@@ -70,9 +70,6 @@ class ExecutionSetup:
     num_loads: int
     loop_name: str = ""
     pipelined: bool = True
-    #: lazily-built :class:`repro.sim.fastpath.CompiledKernel` for this
-    #: setup (populated by :func:`repro.sim.fastpath.compile_kernel`)
-    kernel: object = field(default=None, repr=False, compare=False)
 
 
 def prepare_execution(result: PipelineResult, machine) -> ExecutionSetup:
@@ -213,7 +210,12 @@ def run_iterations(
     else:
         ev = None
 
-    completions = [np.full(n, -np.inf) for _ in range(setup.num_loads)]
+    # per-slot completion times; array('d') stores the same doubles as a
+    # float64 vector but reads back plain floats, which keeps numpy
+    # scalars out of the cycle arithmetic downstream
+    completions = [
+        array("d", [-math.inf]) * n for _ in range(setup.num_loads)
+    ]
     # completion-time heap of in-flight requests; the monotonically
     # increasing uid breaks completion-time ties, so pop order (and with
     # it every trace and counter) is bit-identical across runs/platforms
@@ -296,7 +298,8 @@ def run_iterations(
                 continue  # pure register op: issue costs are in the schedule
 
             # free completed OzQ entries
-            drain(now)
+            if ozq and ozq[0][0] <= now:
+                drain(now)
 
             stream = streams_by_uid[op.ref_uid]
             if op.is_prefetch:

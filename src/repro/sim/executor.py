@@ -20,18 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import SimBackend
 from repro.machine.itanium2 import ItaniumMachine
 from repro.pipeliner.driver import PipelineResult
 from repro.sim.address import AddressMap, LoopStreams, StreamSpec, build_streams
 from repro.sim.core import ExecutionSetup, prepare_execution, run_iterations
 from repro.sim.counters import PerfCounters
-from repro.sim.fastpath import (
-    compile_kernel,
-    fast_machine_supported,
-    fast_replay_supported,
-    run_invocations_fast,
-)
 from repro.sim.memory import MemorySystem
 
 #: cycles of RSE activity per stacked register per invocation
@@ -53,10 +46,6 @@ class LoopRunResult:
     counters: PerfCounters
     invocations: int
     total_iterations: int
-    #: backend that actually executed the run ("interp" or "fast"); the
-    #: fast backend silently downgrades to the interpreter for runs it
-    #: cannot replay (traces, instrumented memory systems)
-    backend: str = SimBackend.INTERP.value
 
     @property
     def cycles_per_iteration(self) -> float:
@@ -73,7 +62,6 @@ def simulate_loop(
     address_map: AddressMap | None = None,
     counters: PerfCounters | None = None,
     sink=None,
-    backend: SimBackend | str | None = None,
 ) -> LoopRunResult:
     """Run a compiled loop for the given per-invocation trip counts.
 
@@ -82,25 +70,10 @@ def simulate_loop(
     after the cache pre-warm so one-time warm-up fills stay out of
     traces.  ``sink=None`` keeps the run event-free and bit-identical
     to an untraced one.
-
-    ``backend`` picks the simulator implementation (default
-    :data:`repro.config.DEFAULT_SIM_BACKEND`).  The fast backend falls
-    back to the interpreter automatically for runs it cannot replay —
-    traced runs, instrumented memory systems, and machines whose queue
-    discipline or scoreboard policy the code generator does not model —
-    and both backends are bit-identical, so the choice never changes any
-    result (the fallback is recorded as ``backend="interp"``).
     """
     counters = counters if counters is not None else PerfCounters()
     memory = memory or machine.memory_system()
     setup = prepare_execution(result, machine)
-    backend = SimBackend.parse(backend)
-    use_fast = (
-        backend is SimBackend.FAST
-        and fast_machine_supported(machine)
-        and fast_replay_supported(memory, sink)
-    )
-    kernel = compile_kernel(setup) if use_fast else None
 
     trips = [int(t) for t in trip_counts]
     total_iters = sum(trips)
@@ -133,58 +106,36 @@ def simulate_loop(
     stacked = result.static.stacked_frame if result.static is not None else 8
 
     cycle = 0.0
-    if use_fast:
-        # the whole invocation sequence replays in one generated call:
-        # fixed costs are accounted inline in this loop's exact order,
-        # and per-reference restart multipliers replace the
-        # interpreter's mixed-stream views
-        cycle = run_invocations_fast(
-            kernel,
+    running_base = 0
+    for n in trips:
+        # per-invocation fixed costs
+        overhead = 0.0
+        if spills:
+            overhead += spills * SPILL_CYCLES
+            counters.spill_instructions += 2 * spills
+        rse = stacked * RSE_CYCLES_PER_REG
+        counters.be_rse_bubble += rse
+        counters.be_flush_bubble += FLUSH_CYCLES
+        counters.back_end_bubble_fe += FRONTEND_CYCLES
+        counters.unstalled += overhead
+        cycle += overhead + rse + FLUSH_CYCLES + FRONTEND_CYCLES
+
+        cycle = _run_invocation(
+            setup,
             streams,
-            trips,
+            restart_uids,
+            running_base,
+            n,
             memory,
             machine.ozq_capacity,
             counters,
             cycle,
-            frozenset(restart_uids),
-            overhead=spills * SPILL_CYCLES,
-            rse=stacked * RSE_CYCLES_PER_REG,
-            flush=FLUSH_CYCLES,
-            fe=FRONTEND_CYCLES,
-            spill_instr=2 * spills,
+            sink,
+            queue=machine.queue,
+            scoreboard=machine.scoreboard,
         )
-        counters.invocations += len(trips)
-    else:
-        running_base = 0
-        for n in trips:
-            # per-invocation fixed costs
-            overhead = 0.0
-            if spills:
-                overhead += spills * SPILL_CYCLES
-                counters.spill_instructions += 2 * spills
-            rse = stacked * RSE_CYCLES_PER_REG
-            counters.be_rse_bubble += rse
-            counters.be_flush_bubble += FLUSH_CYCLES
-            counters.back_end_bubble_fe += FRONTEND_CYCLES
-            counters.unstalled += overhead
-            cycle += overhead + rse + FLUSH_CYCLES + FRONTEND_CYCLES
-
-            cycle = _run_invocation(
-                setup,
-                streams,
-                restart_uids,
-                running_base,
-                n,
-                memory,
-                machine.ozq_capacity,
-                counters,
-                cycle,
-                sink,
-                queue=machine.queue,
-                scoreboard=machine.scoreboard,
-            )
-            running_base += n
-            counters.invocations += 1
+        running_base += n
+        counters.invocations += 1
 
     if sink is not None:
         memory.sink = None
@@ -195,7 +146,6 @@ def simulate_loop(
         counters=counters,
         invocations=len(trips),
         total_iterations=total_iters,
-        backend=(SimBackend.FAST if use_fast else SimBackend.INTERP).value,
     )
 
 

@@ -33,7 +33,7 @@ class TLB:
 
     def access(self, addr: int) -> int:
         """Demand access: returns the added penalty (0 on a hit)."""
-        page = self._page(addr)
+        page = addr // self.page_size  # _page inlined: hot path
         if page in self._pages:
             self._pages.move_to_end(page)
             self.hits += 1

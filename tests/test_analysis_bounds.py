@@ -282,3 +282,17 @@ class TestManifestIntegration:
         assert cell.bounds_checked > 0
         assert cell.bounds_violations == 0
         assert run.manifest.bounds_checked > 0
+
+    def test_micro_suite_bounds_hold_on_every_cell(self):
+        from repro.config import baseline_config
+        from repro.harness import run_suite
+        from repro.workloads import micro_suite
+
+        run = run_suite(
+            micro_suite(), [baseline_config()], workers=1, verify=True
+        )
+        for cell in run.manifest.cells:
+            assert cell.bounds_checked > 0
+            assert cell.bounds_violations == 0
+            assert cell.verify_errors == 0
+        assert run.manifest.bounds_violations == 0

@@ -12,10 +12,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import check_simulation
+from repro.config import CompilerConfig
+from repro.core.compiler import LoopCompiler
 from repro.fuzz.gen import GenConfig, generate_loop, loop_fingerprint
 from repro.fuzz.oracles import ORACLE_VERSION, check_loop
 from repro.fuzz.runner import replay_corpus
 from repro.ir import parse_loop
+from repro.machine import ItaniumMachine
+from repro.sim.address import StreamSpec
+from repro.sim.executor import simulate_loop
 
 CORPUS = Path(__file__).parent / "corpus"
 ENTRIES = sorted(CORPUS.glob("*.loop"))
@@ -30,6 +36,22 @@ def test_corpus_entry_replays_clean(path):
     loop = parse_loop(path.read_text(encoding="utf-8"))
     report = check_loop(loop)
     assert report.ok, [v.to_dict() for v in report.violations]
+
+
+def test_corpus_replays_inside_sim_bounds():
+    """The oracles simulate 64 KiB spaces; a 1 MiB working set must also
+    land inside the SA5xx static bounds for every corpus entry."""
+    machine = ItaniumMachine()
+    compiler = LoopCompiler(machine, CompilerConfig())
+    for path in ENTRIES:
+        loop = parse_loop(path.read_text(encoding="utf-8"))
+        compiled = compiler.compile(loop)
+        layout = {ref.space: StreamSpec(size=1 << 20)
+                  for ref in loop.memrefs}
+        run = simulate_loop(compiled.result, machine, layout, [64, 7])
+        bounds = check_simulation(compiled.result, machine, layout,
+                                  [64, 7], run.counters, run.cycles)
+        assert bounds.ok, (path.name, [d.format() for d in bounds])
 
 
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)

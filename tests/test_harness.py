@@ -431,10 +431,19 @@ class TestVerification:
 
     def test_manifests_without_verify_fields_still_load(self):
         """Cells written before verification existed lack the new keys;
-        the dataclass defaults must absorb that."""
+        the dataclass defaults must absorb that.  Cells written while a
+        second simulator existed carry a retired ``backend`` key, which
+        loading drops."""
         data = dataclasses.asdict(make_cell("b1", "base", 1.0))
         for key in ("verified", "verify_errors", "verify_warnings"):
             data.pop(key)
         cell = CellRecord(**data)
         assert not cell.verified
         assert cell.verify_errors == 0 and cell.verify_warnings == 0
+
+        manifest = make_manifest("run-a", [make_cell("b2", "base", 2.0)])
+        legacy = manifest.to_dict()
+        legacy["cells"][0]["backend"] = "fast"
+        loaded = RunManifest.from_dict(legacy)
+        assert loaded.cells == manifest.cells
+        assert loaded.fingerprint() == manifest.fingerprint()

@@ -8,6 +8,7 @@ errors rather than hangs.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -124,3 +125,31 @@ def test_close_is_idempotent():
     assert pool.submit(_square, 2).result(30.0).value == 4
     pool.close()
     pool.close()
+
+
+class _SlowDict(dict):
+    """A worker table whose reads yield the GIL, so a supervisor pass
+    over it stays open while ``close`` runs in the main thread."""
+
+    def __getitem__(self, key):
+        time.sleep(0.03)
+        return super().__getitem__(key)
+
+
+def test_closing_a_busy_pool_never_raises_in_the_supervisor(monkeypatch):
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    for round_index in range(10):
+        pool = WorkerPool(2, name="busy-close-pool")
+        with pool._lock:
+            pool._procs = _SlowDict(pool._procs)
+            pool._slot_of = _SlowDict(pool._slot_of)
+        # workers still busy for 0-90 ms when close() starts, so its
+        # teardown lands at different points of the supervisor's pass
+        futures = [pool.submit(_sleepy, 0.01 * round_index)
+                   for _ in range(2)]
+        pool.close(grace_s=0.2)
+        pool._supervisor.join(5.0)
+        assert not pool._supervisor.is_alive()
+        assert all(f.done() for f in futures)
+    assert [f"{a.exc_type.__name__}: {a.exc_value}" for a in raised] == []

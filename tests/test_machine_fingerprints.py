@@ -4,8 +4,7 @@ The machine-description refactor must be invisible on the default
 machine: every suite's :meth:`RunManifest.fingerprint` — a digest of the
 per-cell cycle totals — must equal the constants below, which were
 captured from the pre-refactor tree.  The equality is checked across
-serial and parallel execution, the interpreter and the fast replayer,
-and cold/warm artifact-cache runs, so any drift in scheduling,
+serial and parallel execution and cold/warm artifact-cache runs, so any drift in scheduling,
 simulation arithmetic, or cache replay shows up as a one-line diff here.
 """
 
@@ -39,11 +38,9 @@ def fingerprint(suite_name, **kwargs):
     return run.manifest.fingerprint()
 
 
-@pytest.mark.parametrize("backend", ["interp", "fast"])
 @pytest.mark.parametrize("workers", [1, 4])
-def test_micro_fingerprint_across_backends_and_workers(backend, workers):
-    assert fingerprint("micro", backend=backend,
-                       workers=workers) == GOLDEN["micro"]
+def test_micro_fingerprint_across_workers(workers):
+    assert fingerprint("micro", workers=workers) == GOLDEN["micro"]
 
 
 def test_micro_fingerprint_survives_the_artifact_cache(tmp_path):
@@ -54,14 +51,24 @@ def test_micro_fingerprint_survives_the_artifact_cache(tmp_path):
     assert warm == GOLDEN["micro"]
 
 
+def test_micro_fingerprint_parallel_cold_then_warm_cache(tmp_path):
+    # parallel + cold cache, then serial + warm cache (every cell a hit)
+    cache = tmp_path / "cache"
+    assert fingerprint("micro", workers=2, cache=cache) == GOLDEN["micro"]
+    warm = run_suite(SUITES["micro"](), configs(), seed=2008, workers=1,
+                     cache=cache)
+    assert warm.manifest.fingerprint() == GOLDEN["micro"]
+    assert all(cell.cache_hit for cell in warm.manifest.cells)
+
+
 @pytest.mark.parametrize("suite_name", ["cpu2000", "cpu2006"])
 def test_full_suite_fingerprints_are_bit_identical(suite_name, tmp_path):
-    # serial interpreter, no cache: the reference execution
-    assert fingerprint(suite_name, backend="interp") == GOLDEN[suite_name]
-    # parallel fast replayer, cold cache — then a warm serial replay of
-    # the same cache; all three paths must agree with the golden digest
+    # serial, no cache: the reference execution
+    assert fingerprint(suite_name) == GOLDEN[suite_name]
+    # parallel, cold cache — then a warm serial replay of the same cache;
+    # all three paths must agree with the golden digest
     cache = tmp_path / "cache"
-    assert fingerprint(suite_name, backend="fast", workers=4,
+    assert fingerprint(suite_name, workers=4,
                        cache=cache) == GOLDEN[suite_name]
     assert fingerprint(suite_name, workers=1,
                        cache=cache) == GOLDEN[suite_name]

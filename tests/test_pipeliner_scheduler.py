@@ -206,3 +206,28 @@ class TestSchedulerProperties:
                 d_boost = boosted.load_use_distance(load)
                 if d_base is not None and d_boost is not None:
                     assert d_boost >= machine.expected_load_latency(load)
+
+
+@pytest.mark.parametrize("stem, policy", [("fz-109", "hlo"),
+                                          ("fz-4", "all-loads-l3")])
+def test_normalised_schedule_leaves_the_last_row_room_for_the_branch(
+    stem, policy
+):
+    """Normalising a schedule whose earliest op sits past row 0 rotates
+    every row; the row that lands last must still issue ``br.ctop``.
+    These corpus loops once came out with 7 > 6 issue slots there."""
+    from pathlib import Path
+
+    from repro.analysis import verify_compiled
+    from repro.config import CompilerConfig, HintPolicy
+    from repro.core.compiler import LoopCompiler
+    from repro.ir import parse_loop
+
+    path = Path(__file__).parent / "corpus" / f"{stem}.loop"
+    loop = parse_loop(path.read_text(encoding="utf-8"))
+    machine = ItaniumMachine()
+    config = CompilerConfig(hint_policy=HintPolicy(policy))
+    compiled = LoopCompiler(machine, config).compile(loop)
+    assert compiled.result.pipelined
+    report = verify_compiled(compiled)
+    assert not report.errors, [d.format() for d in report.errors]

@@ -55,11 +55,34 @@ def test_machine_is_part_of_the_request_key():
     assert request_key("bench", base) != request_key("bench", ldt)
 
 
-def test_backend_is_stripped_but_machine_is_not():
-    spelled = normalize_request("bench", {"suite": "micro",
-                                          "backend": "fast"})
-    implicit = normalize_request("bench", {"suite": "micro"})
-    assert request_key("bench", spelled) == request_key("bench", implicit)
+#: request keys minted when simulate/bench requests still carried a
+#: stripped ``backend`` field; stored results stay addressable
+PINNED_KEYS = {
+    "simulate": "9c0e0626aab4a6c7e50d667098be25316dbc0455c07541afe8132d2b48fbefd2",
+    "bench": "cba24c46921041e9903ab48551a953e49b16511e0b27dd7f32656532f8ae9900",
+}
+
+
+def test_request_keys_match_pinned_digests():
+    loop = ("memref A affine stride=4 space=a\nloop l trips=8\n"
+            "  ld4 r1 = [r2], 4 !A\n")
+    simulate = normalize_request("simulate", {"loop": loop})
+    bench = normalize_request("bench", {"suite": "micro"})
+    assert request_key("simulate", simulate) == PINNED_KEYS["simulate"]
+    assert request_key("bench", bench) == PINNED_KEYS["bench"]
+
+
+def test_retired_backend_field_is_an_unknown_field_400():
+    payloads = {
+        "simulate": {"loop": "loop l\n  ld4 r4 = [r5], 4 !A\nend"},
+        "bench": {"suite": "micro"},
+    }
+    for kind, payload in payloads.items():
+        for backend in ("", "interp", "fast"):
+            with pytest.raises(ServiceError) as exc:
+                normalize_request(kind, {**payload, "backend": backend})
+            assert exc.value.status == 400
+            assert "backend" in str(exc.value)
 
 
 def test_unknown_machine_is_a_structured_400():

@@ -42,7 +42,6 @@ def test_defaults_are_filled_and_stable():
         "machine": "itanium2",
         "verify": False,
         "trace": False,
-        "backend": "",
     }
 
 

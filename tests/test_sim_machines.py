@@ -5,8 +5,8 @@ fewer stall cycles than itanium2 on a stall-bound loop, with the hidden
 cycles surfaced in their own counter.  ``slsq-core`` (speculative LSQ)
 must replay loads that collide with an in-window store — counted,
 charged to the flush bucket, and absent on conflict-free streams.  Both
-must keep the cycle identity closed, fall back to the interpreter under
-``backend="fast"``, and leave itanium2's arithmetic untouched.
+must keep the cycle identity closed and leave itanium2's arithmetic
+untouched.
 """
 
 import pytest
@@ -48,13 +48,13 @@ STREAM_LAYOUT = {
 }
 
 
-def run(source, machine_name, layout, trips=None, backend="interp"):
+def run(source, machine_name, layout, trips=None):
     machine = build_machine(machine_name)
     loop = parse_loop(source)
     compiled = LoopCompiler(machine, baseline_config()).compile(loop)
     return simulate_loop(
         compiled.result, machine, layout,
-        trips or [loop.trip_counts.ref.mean], seed=11, backend=backend,
+        trips or [loop.trip_counts.ref.mean], seed=11,
     )
 
 
@@ -127,34 +127,3 @@ def test_new_counters_stay_zero_on_itanium2():
     assert base.counters.slsq_replays == 0
     assert base.counters.slsq_replay_cycles == 0.0
 
-
-# --- fastpath fallback --------------------------------------------------------
-
-@pytest.mark.parametrize("machine_name", ["ldt-core", "slsq-core"])
-def test_fast_backend_falls_back_to_interp_for_new_machines(machine_name):
-    result = run(DAXPY, machine_name, STREAM_LAYOUT, trips=[1000],
-                 backend="fast")
-    assert result.backend == "interp"  # recorded fallback, not a raise
-
-
-def test_fast_backend_stays_fast_for_itanium2():
-    result = run(DAXPY, "itanium2", STREAM_LAYOUT, trips=[1000],
-                 backend="fast")
-    assert result.backend == "fast"
-
-
-@pytest.mark.parametrize("machine_name", ["ldt-core", "slsq-core"])
-def test_fast_fallback_is_bit_identical_to_interp(machine_name):
-    interp = run(DAXPY, machine_name, STREAM_LAYOUT, trips=[1000],
-                 backend="interp")
-    fast = run(DAXPY, machine_name, STREAM_LAYOUT, trips=[1000],
-               backend="fast")
-    assert fast.cycles == interp.cycles
-
-
-def test_fast_machine_supported_gate():
-    from repro.sim.fastpath import fast_machine_supported
-
-    assert fast_machine_supported(build_machine("itanium2"))
-    assert not fast_machine_supported(build_machine("ldt-core"))
-    assert not fast_machine_supported(build_machine("slsq-core"))

@@ -1,57 +1,119 @@
 #!/usr/bin/env python
 """Profile the simulator hot path: where replay time actually goes.
 
-This wraps the same prepared-replay methodology as
-``tools/bench_sim_throughput.py`` — compile once, build streams once,
-then profile only the per-cycle replay work — under :mod:`cProfile`,
-for either backend::
+For every hot loop of a suite this compiles the loop once, builds its
+address streams once and pre-warms a fresh memory system, then profiles
+only the per-cycle replay of the full invocation sequence under
+:mod:`cProfile`::
 
-    PYTHONPATH=src:tools python tools/profile_sim.py --backend interp
-    PYTHONPATH=src:tools python tools/profile_sim.py --backend fast \
-        --sort tottime --top 25
-    PYTHONPATH=src:tools python tools/profile_sim.py --both \
+    PYTHONPATH=src python tools/profile_sim.py
+    PYTHONPATH=src python tools/profile_sim.py --sort cumtime --top 25
+    PYTHONPATH=src python tools/profile_sim.py \
         --markdown docs/profile_baseline.md
 
-``--both`` profiles interp and fast back to back and (with
-``--markdown``) writes a side-by-side hotspot table — the committed
-baseline lives at ``docs/profile_baseline.md`` and is the reference for
-deciding what to optimise next.  The profiler's instrumentation
-overhead distorts *absolute* times (C-call-heavy code looks relatively
-cheaper than it is), so treat the tables as a ranking; the honest
-throughput numbers come from ``bench_sim_throughput.py``.
+With ``--markdown`` it writes a hotspot table; the committed baseline
+lives at ``docs/profile_baseline.md`` and is the reference for deciding
+what to optimise next.  The profiler's instrumentation overhead distorts
+*absolute* times (C-call-heavy code looks relatively cheaper than it
+is), so treat the table as a ranking; end-to-end wall times come from
+``e2ebench/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
 import io
 import pstats
 from pathlib import Path
 
+import numpy as np
+
+from repro.config import baseline_config
+from repro.core.compiler import LoopCompiler
+from repro.harness.jobs import _stable, collect_profile
 from repro.machine.itanium2 import ItaniumMachine
+from repro.sim.address import build_streams
+from repro.sim.core import prepare_execution
+from repro.sim.counters import PerfCounters
+from repro.sim.executor import _prewarm_resident_regions, _run_invocation
+from repro.sim.memory import MemorySystem
+from repro.workloads.spec import suite_by_name
 
 
-def profile_backend(
-    prepared: list, machine: ItaniumMachine, backend: str, repeats: int = 3
-) -> pstats.Stats:
-    """One cProfile run covering every prepared loop's full replay.
+@dataclasses.dataclass
+class _Prepared:
+    """One loop's replay inputs, built once outside the profile."""
 
-    An untimed warm-up replay runs first so one-time costs — the fast
-    backend's per-geometry code generation, import machinery — stay out
-    of the profile; what is measured is the steady state a long sweep
-    actually lives in.
-    """
-    from bench_sim_throughput import _replay
+    result: object
+    setup: object
+    layout: dict
+    streams: object
+    trips: list
+    restart_uids: set
 
-    for p in prepared:  # warm-up: codegen happens here, unprofiled
-        _replay(p, machine, backend)
-    profiler = cProfile.Profile()
+
+def _prepare(suite: str, seed: int, machine: ItaniumMachine) -> list[_Prepared]:
+    """Compile every hot loop of ``suite`` and build its streams, with
+    the trip counts and seeds :func:`repro.harness.jobs.run_loops` uses."""
+    config = baseline_config()
+    prepared: list[_Prepared] = []
+    for bench in suite_by_name(suite):
+        profile = collect_profile(bench, seed) if config.pgo else None
+        compiler = LoopCompiler(machine, config)
+        for pos, lw in enumerate(bench.loops):
+            loop, layout = lw.build()
+            compiled = compiler.compile(loop, profile)
+            rng = np.random.default_rng(seed + pos * 977 + _stable(bench.name))
+            trips = [int(t) for t in lw.data.ref.sample(rng, lw.invocations)]
+            stream_len = max(sum(trips), max(trips) if trips else 0)
+            streams = build_streams(
+                compiled.result.loop, layout, stream_len, seed=seed + pos
+            )
+            reuse = {s for s, spec in layout.items() if spec.reuse}
+            restart = {
+                inst.memref.uid
+                for inst in compiled.result.loop.body
+                if inst.memref is not None and inst.memref.space in reuse
+            }
+            prepared.append(_Prepared(
+                result=compiled.result,
+                setup=prepare_execution(compiled.result, machine),
+                layout=layout,
+                streams=streams,
+                trips=trips,
+                restart_uids=restart,
+            ))
+    return prepared
+
+
+def _replay(p: _Prepared, machine: ItaniumMachine, profiler: cProfile.Profile):
+    """One full replay of a prepared loop; only the replay is profiled."""
+    memory = MemorySystem(machine.timings)
+    _prewarm_resident_regions(p.result, p.layout, p.streams, memory)
+    counters = PerfCounters()
+    cycle = 0.0
+    base = 0
     profiler.enable()
+    for n in p.trips:
+        cycle = _run_invocation(
+            p.setup, p.streams, p.restart_uids, base, n, memory,
+            machine.ozq_capacity, counters, cycle,
+            queue=machine.queue, scoreboard=machine.scoreboard,
+        )
+        base += n
+    profiler.disable()
+
+
+def profile_replay(
+    prepared: list, machine: ItaniumMachine, repeats: int = 3
+) -> pstats.Stats:
+    """One cProfile run covering every prepared loop's full replay."""
+    profiler = cProfile.Profile()
     for _ in range(repeats):
         for p in prepared:
-            _replay(p, machine, backend)
-    profiler.disable()
+            _replay(p, machine, profiler)
     return pstats.Stats(profiler)
 
 
@@ -99,47 +161,37 @@ def _total_time(stats: pstats.Stats) -> float:
 
 
 def write_markdown(
-    path: Path, suite: str, seed: int, top: int,
-    interp: pstats.Stats, fast: pstats.Stats,
+    path: Path, suite: str, seed: int, top: int, stats: pstats.Stats
 ) -> None:
+    total = _total_time(stats)
     parts = [
         "# Simulator replay profile baseline",
         "",
-        f"Generated by `tools/profile_sim.py --both --suite {suite} "
+        f"Generated by `tools/profile_sim.py --suite {suite} "
         f"--seed {seed} --markdown {path}`.",
         "",
-        "Self-time hotspots of a full prepared replay of every hot loop "
-        "in the suite (compile, stream synthesis and cache pre-warm "
-        "excluded — see `tools/bench_sim_throughput.py` for the "
-        "methodology and `benchmarks/results/BENCH_sim_throughput.json` "
-        "for wall-clock throughput).  cProfile inflates pure-Python "
-        "frames relative to C calls, so read these as rankings, not "
-        "absolute costs.",
+        "Self-time hotspots of a full replay of every hot loop in the "
+        "suite through the per-cycle interpreter (`repro.sim.core`); "
+        "compile, stream synthesis and the cache pre-warm are excluded.  "
+        "cProfile inflates pure-Python frames relative to C calls, so "
+        "read these as rankings, not absolute costs; end-to-end wall "
+        "times come from `e2ebench/run.py`.",
         "",
-        f"## Interpreter backend ({_total_time(interp):.2f} s profiled)",
+        f"## Replay ({total:.2f} s profiled)",
         "",
-        _markdown_table(_rows(interp, "tottime", top), _total_time(interp)),
-        "",
-        f"## Fast backend ({_total_time(fast):.2f} s profiled)",
-        "",
-        _markdown_table(_rows(fast, "tottime", top), _total_time(fast)),
+        _markdown_table(_rows(stats, "tottime", top), total),
         "",
         "## Reading the baseline",
         "",
-        "- The interpreter spends most of its self-time in the "
-        "per-reference memory walk (`MemorySystem.access` and the cache/"
-        "TLB lookups under it) and the per-cycle dispatch of "
-        "`run_iterations`; that is the work the fast backend compiles "
-        "away.",
-        "- The fast backend's remaining time sits in the generated "
-        "replay code itself (one frame per geometry variant, named "
-        "`replay_*`) plus the `heapq` out-of-order-queue operations; "
-        "both are already flat loops over locals, so further wins come "
-        "from emitting fewer operations, not from shaving dispatch.",
-        "- `chase` (the pointer-chase micro) is the structural "
-        "worst case: every access mutates LRU state, so the ratio "
-        "between backends is bounded by OrderedDict operation cost, "
-        "not by dispatch overhead.",
+        "- Most self-time sits in the per-reference memory walk "
+        "(`MemorySystem` and the cache/TLB lookups under it) and the "
+        "per-cycle dispatch of `run_iterations`.",
+        "- `Cache.lookup` computes the tag and set index inline from the "
+        "line size and set count fixed at construction, so the walk pays "
+        "no per-access geometry calls.",
+        "- `chase` (the pointer-chase micro) is the structural worst "
+        "case: every access misses and mutates LRU state, so its cost is "
+        "bounded by OrderedDict operations, not by dispatch.",
         "",
     ]
     path.write_text("\n".join(parts))
@@ -149,10 +201,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite", default="micro")
     parser.add_argument("--seed", type=int, default=2008)
-    parser.add_argument("--backend", choices=["interp", "fast"],
-                        default="interp")
-    parser.add_argument("--both", action="store_true",
-                        help="profile both backends back to back")
     parser.add_argument("--sort", default="tottime",
                         choices=["tottime", "cumtime", "ncalls"])
     parser.add_argument("--top", type=int, default=20,
@@ -160,32 +208,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=3,
                         help="profiled replays per loop (default: 3)")
     parser.add_argument("--markdown", metavar="PATH",
-                        help="write a side-by-side markdown summary "
-                             "(implies --both)")
+                        help="also write a markdown hotspot table")
     args = parser.parse_args(argv)
-
-    from bench_sim_throughput import _prepare
 
     machine = ItaniumMachine()
     prepared = _prepare(args.suite, args.seed, machine)
     print(f"prepared {len(prepared)} loop(s) from suite {args.suite!r}")
 
-    if args.markdown or args.both:
-        interp = profile_backend(prepared, machine, "interp", args.repeats)
-        fast = profile_backend(prepared, machine, "fast", args.repeats)
-        for label, stats in (("interp", interp), ("fast", fast)):
-            print(f"\n=== {label} backend ===")
-            print(_text_report(stats, args.sort, args.top))
-        if args.markdown:
-            path = Path(args.markdown)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_markdown(
-                path, args.suite, args.seed, args.top, interp, fast
-            )
-            print(f"wrote {path}")
-    else:
-        stats = profile_backend(prepared, machine, args.backend, args.repeats)
-        print(_text_report(stats, args.sort, args.top))
+    stats = profile_replay(prepared, machine, args.repeats)
+    print(_text_report(stats, args.sort, args.top))
+    if args.markdown:
+        path = Path(args.markdown)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_markdown(path, args.suite, args.seed, args.top, stats)
+        print(f"wrote {path}")
     return 0
 
 
