@@ -9,9 +9,9 @@ The subcommands::
                                                        # Chrome trace JSON
     python -m repro lint loop.s --format json          # static analysis
     python -m repro lint --suite cpu2006               # validate a suite
-    python -m repro experiment --suite cpu2006 --policy hlo -n 32 \\
-        --jobs 4 --cache-dir .repro-cache
     python -m repro bench --suite cpu2006 --jobs 8     # parallel sweep
+    python -m repro bench --suite cpu2006 --config all-loads-l3 -n 0 \\
+        --jobs 4 --cache-dir .repro-cache              # one policy vs baseline
     python -m repro compare runA.json runB.json        # manifest diff
     python -m repro compare runA.json runB.json --fail-on-regression \\
         --tolerance 0.5                                # CI regression gate
@@ -24,14 +24,21 @@ The subcommands::
     python -m repro status                             # server counters
     python -m repro status JOB_ID --wait 60            # one job record
 
-``compile``, ``experiment`` and ``bench`` additionally take ``--verify``,
-which runs the :mod:`repro.analysis` translation validator over every
-scheduled loop (see ``docs/analysis.md`` for the SAnnn code reference).
-``experiment`` and ``bench`` take ``--trace``, which records a per-cell
-stall-attribution summary in the run manifest (see ``docs/trace.md``).
-``compile``, ``simulate``, ``trace``, ``experiment``, ``bench`` and
-``fuzz`` take ``--machine`` to target a registered machine model
-(``repro machines`` lists them; see ``docs/machines.md``).
+``compile``, ``lint``, ``simulate``, ``trace`` and ``bench`` turn their
+flags into the service's request schema (:mod:`repro.service.protocol`)
+and build their work from the canonical request with the same builders
+the job server uses (:mod:`repro.service.jobs`), so a flag means the
+same thing locally and over HTTP; a flag value the schema rejects exits
+with status 2, like an argparse error.
+
+``compile`` and ``bench`` additionally take ``--verify``, which runs the
+:mod:`repro.analysis` translation validator over every scheduled loop
+(see ``docs/analysis.md`` for the SAnnn code reference).  ``bench``
+takes ``--trace``, which records a per-cell stall-attribution summary in
+the run manifest (see ``docs/trace.md``).  ``compile``, ``simulate``,
+``trace``, ``bench`` and ``fuzz`` take ``--machine`` to target a
+registered machine model (``repro machines`` lists them; see
+``docs/machines.md``).
 
 The loop file format is the textual dialect of
 :func:`repro.ir.parser.parse_loop` (see examples/loops/ and README).
@@ -40,40 +47,24 @@ The loop file format is the textual dialect of
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
-from repro.config import CompilerConfig, HintPolicy, baseline_config
-from repro.errors import ReproError
-
-#: longest suffixes first so ``kb`` wins over ``b``-less ``k``
-_SUFFIXES = (
-    ("kb", 1 << 10), ("mb", 1 << 20), ("gb", 1 << 30),
-    ("k", 1 << 10), ("m", 1 << 20), ("g", 1 << 30),
-)
+from repro.config import HintPolicy
+from repro.errors import ReproError, ServiceError
+from repro.service.protocol import JOB_KINDS, normalize_request
+from repro.service.protocol import parse_size as parse_request_size
+from repro.workloads import SUITE_NAMES
 
 
 def parse_size(text: str) -> int:
     """``64M``/``64mb`` -> 67108864; plain positive integers pass through."""
-    raw = text
-    text = text.strip().lower()
-    factor = 1
-    for suffix, suffix_factor in _SUFFIXES:
-        if text.endswith(suffix):
-            factor = suffix_factor
-            text = text[: -len(suffix)]
-            break
     try:
-        value = int(float(text) * factor)
-    except ValueError:
+        return parse_request_size(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"invalid size {raw!r}: expected a number with an optional "
-            "K/M/G or KB/MB/GB suffix, e.g. 64M or 512kb"
+            f"invalid size {text!r}: {exc}"
         ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"invalid size {raw!r}: size must be positive"
-        )
-    return value
 
 
 #: valid per-space flags: ``stream`` = cold streaming access, ``reuse`` =
@@ -109,27 +100,52 @@ def parse_space(text: str):
     return name, StreamSpec(size=parse_size(size_text), reuse=reuse)
 
 
-def make_config(args: argparse.Namespace) -> CompilerConfig:
-    from repro.config import parse_scheduler
+# --- flags -> canonical requests ----------------------------------------------
 
-    scheduler = parse_scheduler(getattr(args, "scheduler", None))
-    extra = {}
-    if scheduler != "heuristic":
-        extra["scheduler"] = scheduler
-    budget = getattr(args, "optimal_budget", None)
-    if budget is not None:
-        extra["optimal_budget"] = budget
-    policy = HintPolicy(args.policy)
-    if policy is HintPolicy.BASELINE:
-        cfg = baseline_config(pgo=not args.no_pgo, prefetch=not args.no_prefetch)
-        return cfg.with_(trip_count_threshold=args.threshold, **extra)
-    return CompilerConfig(
-        hint_policy=policy,
-        trip_count_threshold=args.threshold,
+def _payload(args: argparse.Namespace, **fields) -> dict:
+    """Request fields from the config flags plus ``fields``.  Flags left
+    unset are omitted, so the request schema fills in its defaults."""
+    fields.update(
+        policy=getattr(args, "policy", None),
+        threshold=args.threshold,
         pgo=not args.no_pgo,
         prefetch=not args.no_prefetch,
-        **extra,
     )
+    return {name: value for name, value in fields.items() if value is not None}
+
+
+def _loop_request(kind: str, args: argparse.Namespace, **fields) -> dict:
+    """The canonical ``kind`` request for the loop file in ``args``."""
+    from pathlib import Path
+
+    return normalize_request(kind, _payload(
+        args, loop=Path(args.loop_file).read_text(), machine=args.machine,
+        **fields,
+    ))
+
+
+def _spaces(args: argparse.Namespace) -> dict:
+    """``--space`` flags as the request's ``spaces`` field."""
+    return {
+        name: {"size": spec.size, "reuse": spec.reuse}
+        for name, spec in args.space or []
+    }
+
+
+def _usage_errors(command):
+    """A request the flags built that fails validation exits 2."""
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        try:
+            return command(args)
+        except ServiceError as exc:
+            if exc.status != 400:
+                raise
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    return run
 
 
 def _add_machine_arg(parser: argparse.ArgumentParser) -> None:
@@ -144,52 +160,46 @@ def _add_machine_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def make_machine(args: argparse.Namespace):
-    from repro.machine import build_machine
-
-    return build_machine(getattr(args, "machine", "itanium2"))
+def _add_tuning_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-n", "--threshold", type=int,
+                        help="trip-count threshold (default: 32)")
+    parser.add_argument("--no-pgo", action="store_true",
+                        help="use the static profile heuristic")
+    parser.add_argument("--no-prefetch", action="store_true",
+                        help="disable software prefetching")
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--policy",
         choices=[p.value for p in HintPolicy],
-        default="hlo",
         help="hint policy (default: hlo)",
     )
-    parser.add_argument("-n", "--threshold", type=int, default=32,
-                        help="trip-count threshold (default: 32)")
-    parser.add_argument("--no-pgo", action="store_true",
-                        help="use the static profile heuristic")
-    parser.add_argument("--no-prefetch", action="store_true",
-                        help="disable software prefetching")
-    _add_scheduler_args(parser)
+    _add_tuning_args(parser)
 
 
-def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
-    from repro.config import SCHEDULERS
-
-    parser.add_argument(
-        "--scheduler",
-        choices=list(SCHEDULERS),
-        default="heuristic",
-        help="modulo scheduler: the paper's iterative heuristic or the "
-             "exact branch-and-bound solver (default: heuristic)",
-    )
-    parser.add_argument(
-        "--optimal-budget", type=int, default=None, metavar="NODES",
-        help="node budget per loop for the exact scheduler "
-             "(deterministic time cap; default: 200000)",
-    )
+def _add_run_args(parser: argparse.ArgumentParser, space_help: str) -> None:
+    """Flags of the commands that simulate one loop file."""
+    parser.add_argument("loop_file")
+    parser.add_argument("--trips", type=int,
+                        help="iterations per invocation (default: 1000)")
+    parser.add_argument("--invocations", type=int,
+                        help="loop invocations (default: 1)")
+    parser.add_argument("--space", type=parse_space, action="append",
+                        metavar="NAME=SIZE", help=space_help)
+    _add_config_args(parser)
+    _add_machine_arg(parser)
 
 
+# --- commands -----------------------------------------------------------------
+
+@_usage_errors
 def cmd_compile(args: argparse.Namespace) -> int:
-    from repro.core.compiler import LoopCompiler
-    from repro.ir import parse_loop
+    from repro.service.jobs import compile_request
 
-    text = open(args.loop_file).read()
-    loop = parse_loop(text)
-    compiled = LoopCompiler(make_machine(args), make_config(args)).compile(loop)
+    _, _, compiled = compile_request(
+        _loop_request("compile", args, verify=args.verify)
+    )
     stats = compiled.stats
     print(stats.summary())
     if compiled.result.kernel is not None:
@@ -218,14 +228,17 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+@_usage_errors
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import DiagnosticReport, lint_loop, verify_compiled
     from repro.core.compiler import LoopCompiler
     from repro.ir import parse_loop
     from repro.machine import ItaniumMachine
+    from repro.service.jobs import config_for
+    from repro.service.protocol import normalize_config
 
     machine = ItaniumMachine()
-    config = make_config(args)
+    config = config_for(normalize_config(_payload(args)))
     compiler = LoopCompiler(machine, config)
     report = DiagnosticReport()
     linted = 0
@@ -284,33 +297,27 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@_usage_errors
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.core.compiler import LoopCompiler
+    from repro.harness.jobs import counters_from_dict
     from repro.ir import parse_loop
-    from repro.sim import simulate_loop
+    from repro.service.jobs import execute_request, loop_spaces
 
-    machine = make_machine(args)
-    loop = parse_loop(open(args.loop_file).read())
-    layout = dict(args.space or [])
-    missing = {
-        i.memref.space for i in loop.body if i.memref is not None
-    } - set(layout)
+    request = _loop_request(
+        "simulate", args, trips=args.trips, invocations=args.invocations,
+        spaces=_spaces(args),
+    )
+    # unlike `trace`, every space the loop touches needs a --space
+    missing = loop_spaces(parse_loop(request["loop"])) - set(request["spaces"])
     if missing:
         print(f"error: no --space given for {sorted(missing)}",
               file=sys.stderr)
         return 2
-    compiled = LoopCompiler(machine, make_config(args)).compile(loop)
-    print(compiled.stats.summary())
-    run = simulate_loop(
-        compiled.result,
-        machine,
-        layout,
-        [args.trips] * args.invocations,
-        memory=machine.memory_system(),
-    )
-    c = run.counters
-    print(f"cycles: {run.cycles:,.0f} "
-          f"({run.cycles_per_iteration:.2f}/iteration)")
+    result = execute_request({"kind": "simulate", "request": request})
+    print(result["summary"])
+    print(f"cycles: {result['cycles']:,.0f} "
+          f"({result['cycles_per_iteration']:.2f}/iteration)")
+    c = counters_from_dict(result["counters"])
     print(c.summary())
     if c.loads_by_level:
         levels = {1: "L1D", 2: "L2", 3: "L3", 4: "mem"}
@@ -319,13 +326,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@_usage_errors
 def cmd_trace(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.core.compiler import LoopCompiler
-    from repro.ir import parse_loop
-    from repro.sim.address import StreamSpec
+    from repro.service.jobs import compile_request, layout_for
     from repro.trace import (
         ascii_timeline,
         render_attribution_text,
@@ -334,24 +340,20 @@ def cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    machine = make_machine(args)
-    loop = parse_loop(open(args.loop_file).read())
-    layout = dict(args.space or [])
-    # unlike `simulate`, unspecified spaces get a usable default (64M
-    # streaming) so `repro trace loop.s` works out of the box
-    missing = {
-        i.memref.space for i in loop.body if i.memref is not None
-    } - set(layout)
-    for space in sorted(missing):
-        layout[space] = StreamSpec(size=64 << 20, reuse=False)
-    compiled = LoopCompiler(machine, make_config(args)).compile(loop)
+    request = _loop_request(
+        "trace", args, trips=args.trips, invocations=args.invocations,
+        spaces=_spaces(args), seed=args.seed,
+    )
+    machine, loop, compiled = compile_request(request)
+    layout = layout_for(request, loop)
+    trips = [request["trips"]] * request["invocations"]
     print(compiled.stats.summary())
     traced = trace_simulation(
         compiled.result,
         machine,
         layout,
-        [args.trips] * args.invocations,
-        seed=args.seed,
+        trips,
+        seed=request["seed"],
         ring=args.ring,
     )
     run = traced.run
@@ -387,7 +389,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     # per-site stalls at or below their residual-latency budget
     from repro.analysis import build_perf_model
 
-    trips = [args.trips] * args.invocations
     model = build_perf_model(compiled.result, machine, layout)
     bound_report = model.check_counters(trips, run.counters, run.cycles)
     bound_report.extend(model.check_trace_sites(
@@ -412,82 +413,48 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 1
 
 
-def _load_suite(args: argparse.Namespace) -> list | None:
-    from repro.workloads import suite_by_name
-
-    suite = suite_by_name(args.suite)
-    if args.benchmark:
-        suite = [b for b in suite if b.name in args.benchmark]
-        if not suite:
-            print("error: no matching benchmarks", file=sys.stderr)
-            return None
-    return suite
-
-
-def _open_cache(args: argparse.Namespace):
-    from repro.harness import ArtifactCache
-
-    if getattr(args, "no_cache", False) or not args.cache_dir:
-        return None
-    return ArtifactCache(args.cache_dir)
-
-
-def cmd_experiment(args: argparse.Namespace) -> int:
+@_usage_errors
+def cmd_bench(args: argparse.Namespace) -> int:
     from repro.core import format_gain_table
-    from repro.harness import compare_configs, run_suite
+    from repro.harness import ArtifactCache
+    from repro.harness.pool import default_manifest_path, default_workers
+    from repro.service.jobs import run_bench
 
-    suite = _load_suite(args)
-    if suite is None:
-        return 2
-    base = baseline_config(pgo=not args.no_pgo, prefetch=not args.no_prefetch)
-    variant = make_config(args)
-    if variant.scheduler != "heuristic":
-        # the scheduler knob applies to both columns so the experiment
-        # still isolates the hint policy
-        base = base.with_(
-            scheduler=variant.scheduler,
-            optimal_budget=variant.optimal_budget,
-            name=f"{base.name},{variant.scheduler}",
-        )
-    run = run_suite(
-        suite,
-        [base, variant],
-        machine=make_machine(args),
-        seed=args.seed,
-        workers=args.jobs,
-        cache=_open_cache(args),
-        suite_name=args.suite,
-        verify=args.verify,
-        trace=args.trace,
-    )
-    result = compare_configs(run, base.label, variant.label)
-    print(format_gain_table(
-        {variant.label: result},
-        title=f"{args.suite} — {variant.label} vs {base.label}",
+    request = normalize_request("bench", _payload(
+        args, suite=args.suite, benchmarks=args.benchmark,
+        configs=args.config, seed=args.seed, machine=args.machine,
+        verify=args.verify, trace=args.trace,
     ))
-    _report_manifest_trace(run.manifest, args)
-    return _report_manifest_verification(run.manifest, args)
-
-
-def _report_manifest_trace(manifest, args: argparse.Namespace) -> None:
-    """Print the one-line trace roll-up for --trace runs."""
-    if not getattr(args, "trace", False):
-        return
-    from repro.trace import merge_trace_summaries
-
-    summaries = [c.trace for c in manifest.cells if c.trace is not None]
-    merged = merge_trace_summaries(summaries)
-    status = "OK" if merged["ok"] else "FAILED"
-    print(
-        f"trace: {len(summaries)}/{len(manifest.cells)} cells traced, "
-        f"accounting {status}, coverage {100.0 * merged['coverage']:.1f}%, "
-        f"mean k {merged['mean_clustering']:.2f}"
+    use_cache = args.cache_dir and not args.no_cache
+    manifest_path = args.manifest or default_manifest_path(args.suite)
+    run, base, comparisons = run_bench(
+        request,
+        ArtifactCache(args.cache_dir) if use_cache else None,
+        workers=args.jobs if args.jobs is not None else default_workers(),
+        timeout=args.timeout,
+        manifest_path=manifest_path,
     )
+    manifest = run.manifest
+    if comparisons:
+        print(format_gain_table(
+            comparisons, title=f"{args.suite} — variants vs {base.label}",
+        ))
+        print()
+    print(manifest.summary())
+    print(f"manifest: {manifest_path}")
+    if args.trace:
+        from repro.trace import merge_trace_summaries
 
-
-def _report_manifest_verification(manifest, args: argparse.Namespace) -> int:
-    """Print the verification line and pick the exit code for --verify."""
-    if not getattr(args, "verify", False):
+        summaries = [c.trace for c in manifest.cells if c.trace is not None]
+        merged = merge_trace_summaries(summaries)
+        status = "OK" if merged["ok"] else "FAILED"
+        print(
+            f"trace: {len(summaries)}/{len(manifest.cells)} cells traced, "
+            f"accounting {status}, "
+            f"coverage {100.0 * merged['coverage']:.1f}%, "
+            f"mean k {merged['mean_clustering']:.2f}"
+        )
+    if not args.verify:
         return 0
     print(
         f"verification: {manifest.verified_cells}/{len(manifest.cells)} "
@@ -499,78 +466,6 @@ def _report_manifest_verification(manifest, args: argparse.Namespace) -> int:
             f"checked, {manifest.bounds_violations} violation(s)"
         )
     return 1 if manifest.verify_errors else 0
-
-
-def _bench_configs(args: argparse.Namespace) -> tuple[CompilerConfig, list]:
-    """The baseline plus one variant config per requested policy."""
-    from repro.config import parse_scheduler
-
-    scheduler = parse_scheduler(getattr(args, "scheduler", None))
-    extra = {}
-    if scheduler != "heuristic":
-        extra["scheduler"] = scheduler
-    budget = getattr(args, "optimal_budget", None)
-    if budget is not None:
-        extra["optimal_budget"] = budget
-    base = baseline_config(pgo=not args.no_pgo, prefetch=not args.no_prefetch)
-    if extra:
-        # the scheduler knob applies to every column, baseline included,
-        # so bench comparisons isolate the hint policy as usual
-        base = base.with_(**extra)
-        if scheduler != "heuristic":
-            base = base.with_(name=f"{base.name},{scheduler}")
-    variants = []
-    for policy_name in args.config or ["hlo"]:
-        policy = HintPolicy(policy_name)
-        if policy is HintPolicy.BASELINE:
-            continue  # the baseline column is always present
-        variants.append(CompilerConfig(
-            hint_policy=policy,
-            trip_count_threshold=args.threshold,
-            pgo=not args.no_pgo,
-            prefetch=not args.no_prefetch,
-            **extra,
-        ))
-    return base, variants
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.core import format_gain_table
-    from repro.harness import compare_configs, run_suite
-    from repro.harness.pool import default_manifest_path, default_workers
-
-    suite = _load_suite(args)
-    if suite is None:
-        return 2
-    base, variants = _bench_configs(args)
-    workers = args.jobs if args.jobs is not None else default_workers()
-    manifest_path = args.manifest or default_manifest_path(args.suite)
-    run = run_suite(
-        suite,
-        [base] + variants,
-        machine=make_machine(args),
-        seed=args.seed,
-        workers=workers,
-        cache=_open_cache(args),
-        timeout=args.timeout,
-        suite_name=args.suite,
-        manifest_path=manifest_path,
-        verify=args.verify,
-        trace=args.trace,
-    )
-    if variants:
-        results = {
-            variant.label: compare_configs(run, base.label, variant.label)
-            for variant in variants
-        }
-        print(format_gain_table(
-            results, title=f"{args.suite} — variants vs {base.label}",
-        ))
-        print()
-    print(run.manifest.summary())
-    print(f"manifest: {manifest_path}")
-    _report_manifest_trace(run.manifest, args)
-    return _report_manifest_verification(run.manifest, args)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -840,7 +735,7 @@ def cmd_machines(args: argparse.Namespace) -> int:
         )
     print()
     print("select one with --machine on compile / simulate / trace / "
-          "experiment / bench / fuzz")
+          "bench / fuzz")
     return 0
 
 
@@ -880,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument("loop_files", nargs="*", metavar="LOOP_FILE",
                         help="loop files in the textual IR dialect")
-    p_lint.add_argument("--suite", choices=["cpu2006", "cpu2000", "micro"],
+    p_lint.add_argument("--suite", choices=SUITE_NAMES,
                         help="also lint every loop of a workload suite")
     p_lint.add_argument("--format", choices=["text", "json"], default="text",
                         help="finding renderer (default: text)")
@@ -894,32 +789,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(func=cmd_lint)
 
     p_sim = sub.add_parser("simulate", help="compile and simulate a loop")
-    p_sim.add_argument("loop_file")
-    p_sim.add_argument("--trips", type=int, default=1000,
-                       help="iterations per invocation")
-    p_sim.add_argument("--invocations", type=int, default=1)
-    p_sim.add_argument(
-        "--space", type=parse_space, action="append", metavar="NAME=SIZE",
-        help="working-set size per memory space, e.g. a=64M or a=8K:stream",
+    _add_run_args(
+        p_sim,
+        "working-set size per memory space, e.g. a=64M or a=8K:stream",
     )
-    _add_config_args(p_sim)
-    _add_machine_arg(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_trace = sub.add_parser(
         "trace",
         help="simulate a loop with cycle-level tracing and stall attribution",
     )
-    p_trace.add_argument("loop_file")
-    p_trace.add_argument("--trips", type=int, default=1000,
-                         help="iterations per invocation")
-    p_trace.add_argument("--invocations", type=int, default=1)
-    p_trace.add_argument(
-        "--space", type=parse_space, action="append", metavar="NAME=SIZE",
-        help="working-set size per memory space (unspecified spaces "
-             "default to 64M streaming)",
+    _add_run_args(
+        p_trace,
+        "working-set size per memory space (unspecified spaces "
+        "default to 64M streaming)",
     )
-    p_trace.add_argument("--seed", type=int, default=11,
+    p_trace.add_argument("--seed", type=int,
                          help="address-stream seed (default: 11)")
     p_trace.add_argument("--chrome", metavar="PATH",
                          help="Chrome trace-event JSON output "
@@ -933,37 +818,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--ring", type=int, default=None, metavar="N",
                          help="keep only the last N events "
                               "(flight-recorder mode)")
-    _add_config_args(p_trace)
-    _add_machine_arg(p_trace)
     p_trace.set_defaults(func=cmd_trace)
-
-    p_exp = sub.add_parser("experiment", help="run a suite comparison")
-    p_exp.add_argument("--suite", choices=["cpu2006", "cpu2000", "micro"],
-                       default="cpu2006")
-    p_exp.add_argument("--benchmark", action="append",
-                       help="restrict to specific benchmarks")
-    p_exp.add_argument("--seed", type=int, default=2008)
-    p_exp.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default: 1, serial)")
-    p_exp.add_argument("--cache-dir", metavar="PATH",
-                       help="content-addressed artifact cache directory")
-    p_exp.add_argument("--no-cache", action="store_true",
-                       help="ignore the artifact cache")
-    p_exp.add_argument("--verify", action="store_true",
-                       help="translation-validate every compiled loop")
-    p_exp.add_argument("--trace", action="store_true",
-                       help="record per-cell stall-attribution summaries "
-                            "in the manifest")
-    _add_config_args(p_exp)
-    _add_machine_arg(p_exp)
-    p_exp.set_defaults(func=cmd_experiment)
 
     p_bench = sub.add_parser(
         "bench",
-        help="parallel, cached suite sweep with a run manifest",
+        help="parallel, cached suite sweep: the baseline plus one column "
+             "per --config policy, with a run manifest",
     )
-    p_bench.add_argument("--suite", choices=["cpu2006", "cpu2000", "micro"],
-                         default="cpu2006")
+    p_bench.add_argument("--suite", choices=SUITE_NAMES, default="cpu2006")
     p_bench.add_argument("--benchmark", action="append",
                          help="restrict to specific benchmarks")
     p_bench.add_argument(
@@ -971,14 +833,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[p.value for p in HintPolicy],
         help="variant hint policy; repeatable (default: hlo)",
     )
-    p_bench.add_argument("--seed", type=int, default=2008)
-    p_bench.add_argument("-n", "--threshold", type=int, default=32,
-                         help="trip-count threshold (default: 32)")
-    p_bench.add_argument("--no-pgo", action="store_true",
-                         help="use the static profile heuristic")
-    p_bench.add_argument("--no-prefetch", action="store_true",
-                         help="disable software prefetching")
-    _add_scheduler_args(p_bench)
+    p_bench.add_argument("--seed", type=int,
+                         help="PGO profile seed (default: 2008)")
+    _add_tuning_args(p_bench)
     p_bench.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="worker processes (default: CPU count, max 8)")
     p_bench.add_argument(
@@ -1081,8 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit a job (or a batch) to a running repro server",
     )
     p_submit.add_argument("kind", nargs="?",
-                          choices=["compile", "simulate", "trace",
-                                   "fuzz", "bench"],
+                          choices=JOB_KINDS,
                           help="job kind (omit when --file is a batch)")
     p_submit.add_argument("--url", default="http://127.0.0.1:8437",
                           help="server base URL "

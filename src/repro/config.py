@@ -25,28 +25,6 @@ from dataclasses import dataclass, field, replace
 from repro.errors import ConfigError
 
 
-#: registered modulo schedulers: the paper's iterative heuristic and the
-#: exact branch-and-bound solver (`repro.pipeliner.optimal`)
-SCHEDULERS = ("heuristic", "optimal")
-
-#: default node budget for the exact scheduler's per-loop search — the
-#: deterministic "time cap" of docs/optimal.md (wall-clock caps would
-#: break byte-identical replay)
-DEFAULT_OPTIMAL_BUDGET = 200_000
-
-
-def parse_scheduler(name: "str | None") -> str:
-    """Normalise a CLI/service/API scheduler spelling."""
-    if name is None or name == "":
-        return "heuristic"
-    if name not in SCHEDULERS:
-        raise ConfigError(
-            f"unknown scheduler {name!r} (expected one of "
-            f"{', '.join(SCHEDULERS)})"
-        )
-    return name
-
-
 class HintPolicy(enum.Enum):
     """How expected-latency hints get assigned to memory references."""
 
@@ -86,11 +64,6 @@ class CompilerConfig:
     default_trip_estimate: float = 100.0
     #: assumed average memory latency the prefetcher tries to cover
     prefetch_target_latency: int = 180
-    #: which modulo scheduler pipelines loops: the paper's iterative
-    #: "heuristic", or the exact "optimal" branch-and-bound solver
-    scheduler: str = "heuristic"
-    #: node budget for the exact scheduler (per loop, shared across IIs)
-    optimal_budget: int = DEFAULT_OPTIMAL_BUDGET
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -102,13 +75,6 @@ class CompilerConfig:
             )
         if self.budget_ratio < 1:
             raise ConfigError("budget_ratio must be >= 1")
-        if self.scheduler not in SCHEDULERS:
-            raise ConfigError(
-                f"unknown scheduler {self.scheduler!r} (expected one of "
-                f"{', '.join(SCHEDULERS)})"
-            )
-        if self.optimal_budget < 1:
-            raise ConfigError("optimal_budget must be >= 1")
 
     @property
     def label(self) -> str:
@@ -119,10 +85,6 @@ class CompilerConfig:
         parts.append("pgo" if self.pgo else "nopgo")
         if not self.prefetch:
             parts.append("nopf")
-        # only non-default schedulers mark the label, so every
-        # pre-scheduler label (and manifest fingerprint) is preserved
-        if self.scheduler != "heuristic":
-            parts.append(self.scheduler)
         return ",".join(parts)
 
     def with_(self, **kwargs) -> "CompilerConfig":

@@ -17,6 +17,7 @@ workload under baseline and variant settings).
 from __future__ import annotations
 
 import copy
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.config import CompilerConfig
@@ -65,9 +66,20 @@ class LoopCompiler:
         self.config = config or CompilerConfig()
 
     def compile(
-        self, loop: Loop, profile: BlockProfile | None = None
+        self,
+        loop: Loop,
+        profile: BlockProfile | None = None,
+        *,
+        pipeliner: Callable[..., PipelineResult] | None = None,
     ) -> CompiledLoop:
-        """Compile one loop; ``profile`` supplies PGO trip counts."""
+        """Compile one loop; ``profile`` supplies PGO trip counts.
+
+        ``pipeliner`` replaces the paper's heuristic driver with another
+        ``(loop, machine, config) -> PipelineResult`` callable behind the
+        same HLO front half, e.g. the exact scheduler the gap campaign
+        measures against
+        (:func:`repro.pipeliner.optimal.optimal_pipeline_loop`).
+        """
         work = copy.deepcopy(loop)
         plan = run_hlo(work, self.machine, self.config, profile)
 
@@ -75,13 +87,11 @@ class LoopCompiler:
         if trips >= MIN_PIPELINE_TRIPS:
             # counted loops pipeline with br.ctop; while loops with
             # br.wtop and speculative fill (the mcf refresh_potential
-            # loop of Sec. 4.4 is a while loop)
-            if self.config.scheduler == "optimal":
-                from repro.pipeliner.optimal import optimal_pipeline_loop
-
-                result = optimal_pipeline_loop(work, self.machine, self.config)
-            else:
-                result = pipeline_loop(work, self.machine, self.config)
+            # loop of Sec. 4.4 is a while loop).  ``pipeline_loop`` is
+            # looked up at call time, so profilers can wrap it.
+            result = (pipeliner or pipeline_loop)(
+                work, self.machine, self.config
+            )
         else:
             # too few iterations: the acyclic global scheduler handles it
             result = self._unpipelined(work)

@@ -31,10 +31,14 @@ holds the tier-1 differential slice.
 from __future__ import annotations
 
 import math
+from functools import partial
 
-from repro.config import DEFAULT_OPTIMAL_BUDGET, CompilerConfig
 from repro.harness.cache import hash_key
 from repro.harness.pool import run_tasks
+from repro.pipeliner.optimal import (
+    DEFAULT_OPTIMAL_BUDGET,
+    optimal_pipeline_loop,
+)
 
 #: profile seed shared with the benchmark harness (PGO training runs)
 GAP_SEED = 2008
@@ -102,18 +106,14 @@ def measure_loop(loop, machine, budget: int, profile=None) -> dict:
     """Compile ``loop`` with both schedulers; return the gap record."""
     from repro.core.compiler import LoopCompiler
 
-    heur_cfg = CompilerConfig()
-    opt_cfg = CompilerConfig(scheduler="optimal", optimal_budget=budget)
+    compiler = LoopCompiler(machine)
+    exact = partial(optimal_pipeline_loop, budget=budget)
     record = {
         "loop": loop.name,
         "machine": machine.name,
-        "heuristic": _side(
-            LoopCompiler(machine, heur_cfg).compile(loop, profile),
-            optimal=False,
-        ),
+        "heuristic": _side(compiler.compile(loop, profile), optimal=False),
         "optimal": _side(
-            LoopCompiler(machine, opt_cfg).compile(loop, profile),
-            optimal=True,
+            compiler.compile(loop, profile, pipeliner=exact), optimal=True
         ),
     }
     heur, opt = record["heuristic"], record["optimal"]

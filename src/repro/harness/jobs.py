@@ -323,9 +323,16 @@ def describe_benchmark(bench: Benchmark) -> dict:
     }
 
 
+#: config fields that no longer exist, at the one value every cached run
+#: had; restored into the key material so every loop-run cache key
+#: minted before their removal still addresses its entry
+RETIRED_CONFIG_FIELDS = {"scheduler": "heuristic", "optimal_budget": 200_000}
+
+
 def describe_config(config: CompilerConfig) -> dict:
     desc = dataclasses.asdict(config)
     desc["hint_policy"] = config.hint_policy.value
+    desc.update(RETIRED_CONFIG_FIELDS)
     return desc
 
 

@@ -13,30 +13,31 @@ engine under :func:`repro.harness.pool.run_tasks`) and from asyncio (the
 :mod:`repro.service` server wraps the returned
 :class:`concurrent.futures.Future` values with ``asyncio.wrap_future``).
 
-Protocol: each worker loops on a shared task queue and reports
-``("start", task_id, pid)`` before running a task and
-``("done", task_id, pid, outcome)`` after it, so the supervisor thread
-always knows *which* process owns a late task and can kill exactly that
-one.  Queue messages ride a feeder thread, which an abrupt worker death
-(``os._exit``, a segfault) can outrun — so each worker *also* records its
-current task id in a shared-memory slot with a plain store before
-executing it.  The slot is what lets the supervisor attribute the
-in-flight task of a worker that died without a flushed ``start`` message,
-instead of leaving its future unresolved.  Tasks and results travel
-through ``multiprocessing`` queues, so
-``fn``, payloads and results must be picklable (module-level callables or
-``functools.partial`` of one) — the same contract the process pool
-already imposed.
+Protocol: the supervisor thread hands each task to one idle worker over
+a pipe of that worker's own, and the worker reports
+``("start", task_id, pid)`` before running it and
+``("done", task_id, pid, outcome)`` after it on a second pipe of its own.
+Nothing is shared between workers: a worker killed at its deadline, even
+right as it reports or waits for its next task, can only break its own
+pipes, where a shared queue's lock would stay held and silence every
+other worker.  Since the supervisor itself assigns every task, it knows
+*which* process owns a late task and can kill exactly that one, and it
+attributes the task of a worker that died before its ``start`` report
+instead of leaving its future unresolved.  Tasks and results are
+pickled, so ``fn``, payloads and results must be picklable (module-level
+callables or ``functools.partial`` of one) — the same contract the
+process pool already imposed.
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import itertools
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
-import queue as queue_mod
 import threading
 import time
 import traceback
@@ -73,22 +74,21 @@ class TaskResult:
         return self.status == TASK_OK
 
 
-def _worker_main(task_queue, result_queue, slots, slot_index) -> None:
+def _worker_main(tasks, reports) -> None:
     """Worker process body: run tasks until the ``None`` sentinel."""
     while True:
-        item = task_queue.get()
+        try:
+            item = tasks.recv()
+        except EOFError:  # the pool is gone
+            break
         if item is None:
             break
         task_id, fn, payload = item
         pid = os.getpid()
-        # the slot is a plain shared-memory store, immune to the queue
-        # feeder-thread lag: if this process dies from here on, the
-        # supervisor can still attribute the task (+1 so 0 means idle)
-        slots[slot_index] = float(task_id + 1)
         # CLOCK_MONOTONIC is system-wide on POSIX, so the supervisor can
         # anchor the deadline at the *actual* start, not at whenever it
         # drains this message
-        result_queue.put(("start", task_id, pid, time.monotonic()))
+        reports.send(("start", task_id, pid, time.monotonic()))
         start = time.perf_counter()
         try:
             value = fn(payload)
@@ -101,17 +101,14 @@ def _worker_main(task_queue, result_queue, slots, slot_index) -> None:
                 exc = None
             outcome = (False, exc, text, time.perf_counter() - start)
         try:
-            result_queue.put(("done", task_id, pid, outcome))
+            reports.send(("done", task_id, pid, outcome))
         except Exception:
             # the value itself would not pickle: report the failure instead
-            result_queue.put((
+            reports.send((
                 "done", task_id, pid,
                 (False, None, "task result was not picklable",
                  time.perf_counter() - start),
             ))
-        # cleared only after the "done" message is queued: a crash in the
-        # window still attributes (and errors) the task instead of losing it
-        slots[slot_index] = 0.0
 
 
 class WorkerPool:
@@ -135,24 +132,27 @@ class WorkerPool:
             self._ctx = multiprocessing.get_context()
         self.workers = workers
         self.name = name
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
         self._lock = threading.Lock()
         self._ids = itertools.count()
         self._futures: dict[int, concurrent.futures.Future] = {}
         self._timeouts: dict[int, float | None] = {}
         self._on_start: dict[int, object] = {}
+        #: submitted tasks no worker has been handed yet, oldest first
+        self._backlog: collections.deque = collections.deque()
+        #: pid -> the task handed to that worker and not yet done
+        self._assigned: dict[int, int] = {}
         #: pid -> (task_id, deadline or None) for tasks being executed
         self._running: dict[int, tuple[int, float | None]] = {}
         self._procs: dict[int, multiprocessing.Process] = {}
-        #: crash-attribution slots, one per worker (see _worker_main)
-        self._slots = self._ctx.Array("d", workers, lock=False)
-        self._slot_of: dict[int, int] = {}  # pid -> slot index
+        #: pid -> the write end of that worker's task pipe
+        self._inboxes: dict[int, multiprocessing.connection.Connection] = {}
+        #: pid -> the read end of that worker's report pipe
+        self._reports: dict[int, multiprocessing.connection.Connection] = {}
         self._closed = False
         self.reaped = 0  # workers killed at a deadline (observability)
         self.crashed = 0  # workers that died mid-task
-        for slot_index in range(workers):
-            self._spawn(slot_index)
+        for _ in range(workers):
+            self._spawn()
         self._supervisor = threading.Thread(
             target=self._supervise, name=f"{name}-supervisor", daemon=True
         )
@@ -176,7 +176,8 @@ class WorkerPool:
             self._timeouts[task_id] = timeout
             if on_start is not None:
                 self._on_start[task_id] = on_start
-        self._tasks.put((task_id, fn, payload))
+            self._backlog.append((task_id, fn, payload))
+            self._dispatch()
         return future
 
     @property
@@ -186,33 +187,73 @@ class WorkerPool:
             return len(self._futures)
 
     # --- supervision ---------------------------------------------------------
-    def _spawn(self, slot_index: int) -> None:
-        self._slots[slot_index] = 0.0
+    def _spawn(self) -> None:
+        task_reader, inbox = self._ctx.Pipe(duplex=False)
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(self._tasks, self._results, self._slots, slot_index),
+            args=(task_reader, writer),
             name=f"{self.name}-worker",
             daemon=True,
         )
         proc.start()
+        # only the worker holds these ends, so its report pipe reads EOF
+        # once it dies, even in the middle of a message
+        task_reader.close()
+        writer.close()
         self._procs[proc.pid] = proc
-        self._slot_of[proc.pid] = slot_index
+        self._inboxes[proc.pid] = inbox
+        self._reports[proc.pid] = reader
+
+    def _dispatch(self) -> None:
+        """Hand backlogged tasks to idle workers, one task per worker."""
+        for pid, inbox in self._inboxes.items():
+            if not self._backlog:
+                return
+            if pid in self._assigned:
+                continue
+            task_id = self._backlog[0][0]
+            try:
+                inbox.send(self._backlog[0])
+            except OSError:
+                continue  # the worker died; _reap_dead respawns it
+            except Exception as exc:  # noqa: BLE001 - fn or payload
+                self._backlog.popleft()
+                self._timeouts.pop(task_id, None)
+                self._on_start.pop(task_id, None)
+                self._futures.pop(task_id).set_result(TaskResult(
+                    TASK_ERROR, exception=exc,
+                    error=f"task could not be sent to a worker: {exc!r}",
+                ))
+                continue
+            self._backlog.popleft()
+            self._assigned[pid] = task_id
 
     def _supervise(self) -> None:
         while True:
-            try:
-                message = self._results.get(timeout=_TICK_S)
-            except queue_mod.Empty:
-                message = None
+            with self._lock:
+                if self._closed:
+                    return
+                pipes = list(self._reports.values())
+            ready = multiprocessing.connection.wait(pipes, timeout=_TICK_S)
             with self._lock:
                 # close() fails every future and takes over the workers
                 # under this lock, so a closed pool has nothing to reap
                 if self._closed:
                     return
-                if message is not None:
-                    self._handle_message(message)
+                for pipe in ready:
+                    self._drain(pipe)
                 self._reap_expired()
                 self._reap_dead()
+                self._dispatch()
+
+    def _drain(self, pipe) -> None:
+        """Handle every message a worker has finished sending."""
+        try:
+            while pipe.poll():
+                self._handle_message(pipe.recv())
+        except (EOFError, OSError):
+            pass  # the worker died; _reap_dead attributes its task
 
     def _handle_message(self, message) -> None:
         event, task_id, pid, outcome = message
@@ -232,6 +273,8 @@ class WorkerPool:
         # "done"
         if self._running.get(pid, (None,))[0] == task_id:
             del self._running[pid]
+        if self._assigned.get(pid) == task_id:
+            del self._assigned[pid]
         future = self._futures.pop(task_id, None)
         timeout = self._timeouts.pop(task_id, None)
         if future is None:  # late result of a task reaped at its deadline
@@ -265,8 +308,14 @@ class WorkerPool:
             if deadline is None or now < deadline:
                 continue
             del self._running[pid]
-            self._kill(pid)
-            slot_index = self._slot_of.pop(pid)
+            if self._assigned.get(pid) != task_id:
+                # the worker finished the task before this late tick and
+                # its "done" message resolved it; killing the worker now
+                # would lose the next task it was handed
+                continue
+            del self._assigned[pid]
+            # _reap_dead respawns the worker within this same tick
+            _terminate(self._procs[pid])
             self.reaped += 1
             future = self._futures.pop(task_id, None)
             timeout = self._timeouts.pop(task_id, None)
@@ -277,7 +326,6 @@ class WorkerPool:
                     error=f"task exceeded the {timeout}s timeout",
                     duration_s=timeout or 0.0,
                 ))
-            self._spawn(slot_index)
 
     def _reap_dead(self) -> None:
         for pid in list(self._procs):
@@ -285,15 +333,14 @@ class WorkerPool:
             if proc.is_alive():
                 continue
             del self._procs[pid]
-            slot_index = self._slot_of.pop(pid)
-            assignment = self._running.pop(pid, None)
-            if assignment is not None:
-                task_id = assignment[0]
-            else:
-                # the worker died before its "start" message flushed; the
-                # shared-memory slot is the authoritative record
-                raw = self._slots[slot_index]
-                task_id = int(raw) - 1 if raw else None
+            self._inboxes.pop(pid).close()
+            # reports the worker sent before it died come first
+            pipe = self._reports.pop(pid)
+            self._drain(pipe)
+            pipe.close()
+            self._running.pop(pid, None)
+            # set even when the worker died before its "start" report
+            task_id = self._assigned.pop(pid, None)
             if task_id is not None and task_id in self._futures:
                 self.crashed += 1
                 future = self._futures.pop(task_id)
@@ -306,12 +353,7 @@ class WorkerPool:
                         f"(exit code {proc.exitcode})"
                     ),
                 ))
-            self._spawn(slot_index)
-
-    def _kill(self, pid: int) -> None:
-        proc = self._procs.pop(pid, None)
-        if proc is not None:
-            _terminate(proc)
+            self._spawn()
 
     # --- teardown ------------------------------------------------------------
     def close(self, *, grace_s: float = 1.0) -> None:
@@ -332,22 +374,28 @@ class WorkerPool:
             self._futures.clear()
             self._timeouts.clear()
             self._on_start.clear()
+            self._backlog.clear()
+            self._assigned.clear()
             self._running.clear()
             procs = list(self._procs.values())
             self._procs.clear()
-            self._slot_of.clear()
-        for _ in procs:
+            inboxes = list(self._inboxes.values())
+            self._inboxes.clear()
+            pipes = list(self._reports.values())
+            self._reports.clear()
+        for inbox in inboxes:
             try:
-                self._tasks.put_nowait(None)
-            except Exception:  # pragma: no cover - queue already broken
-                break
+                inbox.send(None)
+            except OSError:
+                pass  # that worker is already gone
         deadline = time.monotonic() + grace_s
         for proc in procs:
             proc.join(max(0.0, deadline - time.monotonic()))
             if proc.is_alive():
                 _terminate(proc)
-        self._tasks.close()
         self._supervisor.join(grace_s + _TERM_GRACE_S)
+        for pipe in inboxes + pipes:
+            pipe.close()
 
     def __enter__(self) -> "WorkerPool":
         return self

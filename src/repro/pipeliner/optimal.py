@@ -45,6 +45,14 @@ measure the scheduler and nothing else.  At every (II, policy) step
 where the exact schedule is missing or fails register allocation, the
 driver retries with the heuristic scheduler at that same II, which
 structurally guarantees ``optimal_ii <= heuristic_ii`` and termination.
+
+The solver is an oracle, not a production setting: nothing in
+:class:`~repro.config.CompilerConfig` selects it.  Callers that want it
+behind the HLO front half pass it to the compiler directly::
+
+    compiled = LoopCompiler(machine, config).compile(
+        loop, profile, pipeliner=optimal_pipeline_loop
+    )
 """
 
 from __future__ import annotations
@@ -74,6 +82,12 @@ from repro.pipeliner.scheduler import list_schedule_length, modulo_schedule
 from repro.pipeliner.stats import PipelineStats
 from repro.regalloc.nonrotating import allocate_static
 from repro.regalloc.rotating import allocate_rotating
+
+
+#: default node budget for the per-loop search (shared across IIs) — the
+#: deterministic "time cap" of docs/optimal.md (wall-clock caps would
+#: break byte-identical replay)
+DEFAULT_OPTIMAL_BUDGET = 200_000
 
 
 class SolveStatus(enum.Enum):
@@ -387,6 +401,7 @@ def optimal_pipeline_loop(
     loop: Loop,
     machine: ItaniumMachine,
     config: CompilerConfig | None = None,
+    budget: int = DEFAULT_OPTIMAL_BUDGET,
 ) -> PipelineResult:
     """Pipeline ``loop`` with the exact scheduler (Sec. 3.3 ladder).
 
@@ -397,7 +412,8 @@ def optimal_pipeline_loop(
     the certified lower bound, "capped" when the node budget or register
     allocation left a possible gap, "infeasible" when no II up to the
     profitability cap admits a schedule), ``ii_lower_bound`` and
-    ``solver_nodes``.
+    ``solver_nodes``.  ``budget`` caps the branch-and-bound nodes spent
+    on the loop, summed over every II tried.
     """
     config = config or CompilerConfig()
     ddg = _driver.build_ddg(loop)
@@ -408,7 +424,7 @@ def optimal_pipeline_loop(
     max_ii = max(bounds.min_ii, seq_length)
     attempts = 0
     latency_fallback = False
-    budget_left = config.optimal_budget
+    budget_left = budget
     total_nodes = 0
     # smallest II not yet proven unschedulable; advances while every II
     # below the current one is INFEASIBLE under the weakest policy

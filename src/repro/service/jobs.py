@@ -22,57 +22,135 @@ from __future__ import annotations
 from repro.config import CompilerConfig, HintPolicy, baseline_config
 from repro.errors import ServiceError
 
+# --- builders: canonical request -> program objects ----------------------------
+#
+# The one place a canonical request (see repro.service.protocol) becomes
+# a config, machine, layout or benchmark list.  The CLI builds the same
+# request dicts from its flags and runs them through these builders too.
 
-def _build_config(canonical: dict) -> CompilerConfig:
-    scheduler = canonical.get("scheduler", "heuristic")
+
+def config_for(canonical: dict) -> CompilerConfig:
+    """The compiler config of a compile/simulate/trace request."""
     policy = HintPolicy(canonical["policy"])
     if policy is HintPolicy.BASELINE:
         config = baseline_config(
             pgo=canonical["pgo"], prefetch=canonical["prefetch"]
         )
-        return config.with_(
-            trip_count_threshold=canonical["threshold"], scheduler=scheduler
-        )
+        return config.with_(trip_count_threshold=canonical["threshold"])
     return CompilerConfig(
         hint_policy=policy,
         trip_count_threshold=canonical["threshold"],
         pgo=canonical["pgo"],
         prefetch=canonical["prefetch"],
-        scheduler=scheduler,
     )
 
 
-def _build_layout(canonical: dict, loop) -> dict:
+def bench_configs_for(canonical: dict) -> tuple[CompilerConfig, list]:
+    """A bench request's baseline column and one variant per policy.
+
+    The baseline column keeps the default threshold whatever the
+    request's (boosting is off there anyway), so every bench addresses
+    the same baseline cache entries.
+    """
+    base = baseline_config(
+        pgo=canonical["pgo"], prefetch=canonical["prefetch"]
+    )
+    variants = [
+        config_for({**canonical, "policy": policy})
+        for policy in canonical["configs"]
+        if policy != HintPolicy.BASELINE.value
+    ]
+    return base, variants
+
+
+def machine_for(canonical: dict):
+    """The machine model a request names."""
+    from repro.machine import build_machine
+
+    return build_machine(canonical["machine"])
+
+
+def layout_for(canonical: dict, loop) -> dict:
+    """Memory-space layout of a simulate/trace request; spaces the
+    request leaves out default to 64M streaming."""
     from repro.sim.address import StreamSpec
 
     layout = {
         name: StreamSpec(size=spec["size"], reuse=spec["reuse"])
         for name, spec in canonical["spaces"].items()
     }
-    missing = sorted(
-        {i.memref.space for i in loop.body if i.memref is not None}
-        - set(layout)
-    )
-    # unspecified spaces default to 64M streaming, mirroring `repro trace`
-    for space in missing:
+    for space in sorted(loop_spaces(loop) - set(layout)):
         layout[space] = StreamSpec(size=64 << 20, reuse=False)
     return layout
 
 
-def _resolve_machine(canonical: dict):
-    from repro.machine import build_machine
+def loop_spaces(loop) -> set[str]:
+    """The memory spaces ``loop`` references."""
+    return {i.memref.space for i in loop.body if i.memref is not None}
 
-    return build_machine(canonical.get("machine", "itanium2"))
+
+def benchmarks_for(canonical: dict) -> list:
+    """A bench request's benchmarks; unknown names are a 400 error."""
+    from repro.workloads import suite_by_name
+
+    suite = suite_by_name(canonical["suite"])
+    if canonical["benchmarks"]:
+        wanted = set(canonical["benchmarks"])
+        suite = [bench for bench in suite if bench.name in wanted]
+        missing = wanted - {bench.name for bench in suite}
+        if missing:
+            raise ServiceError(
+                f"unknown benchmark(s) in suite {canonical['suite']!r}: "
+                f"{', '.join(sorted(missing))}",
+                status=400,
+            )
+    return suite
 
 
-def _run_compile(canonical: dict, cache_root: str | None) -> dict:
+def compile_request(canonical: dict):
+    """Parse and compile a compile/simulate/trace request's loop."""
     from repro.core.compiler import LoopCompiler
     from repro.ir import parse_loop
 
+    machine = machine_for(canonical)
     loop = parse_loop(canonical["loop"])
-    compiled = LoopCompiler(
-        _resolve_machine(canonical), _build_config(canonical)
-    ).compile(loop)
+    compiled = LoopCompiler(machine, config_for(canonical)).compile(loop)
+    return machine, loop, compiled
+
+
+def run_bench(canonical: dict, cache, **execution):
+    """Run a bench request: ``(run, baseline, {label: comparison})``.
+
+    ``execution`` passes the knobs that never change a result (workers,
+    timeout, manifest_path) through to :func:`repro.harness.run_suite`.
+    """
+    from repro.harness import compare_configs, run_suite
+
+    benchmarks = benchmarks_for(canonical)
+    base, variants = bench_configs_for(canonical)
+    run = run_suite(
+        benchmarks,
+        [base] + variants,
+        machine=machine_for(canonical),
+        seed=canonical["seed"],
+        cache=cache,
+        suite_name=canonical["suite"],
+        verify=canonical["verify"],
+        trace=canonical["trace"],
+        **execution,
+    )
+    comparisons = {
+        variant.label: compare_configs(run, base.label, variant.label)
+        for variant in variants
+    }
+    return run, base, comparisons
+
+
+# --- executors ------------------------------------------------------------------
+
+
+def _run_compile(canonical: dict, cache_root: str | None) -> dict:
+    _, loop, compiled = compile_request(canonical)
     stats = compiled.stats
     result = {
         "loop": loop.name,
@@ -100,25 +178,15 @@ def _run_compile(canonical: dict, cache_root: str | None) -> dict:
     return result
 
 
-def _compile_for_run(canonical: dict):
-    from repro.core.compiler import LoopCompiler
-    from repro.ir import parse_loop
-
-    machine = _resolve_machine(canonical)
-    loop = parse_loop(canonical["loop"])
-    compiled = LoopCompiler(machine, _build_config(canonical)).compile(loop)
-    return machine, loop, compiled
-
-
 def _run_simulate(canonical: dict, cache_root: str | None) -> dict:
     from repro.harness.jobs import counters_to_dict
-    from repro.sim import MemorySystem, simulate_loop
+    from repro.sim import simulate_loop
 
-    machine, loop, compiled = _compile_for_run(canonical)
+    machine, loop, compiled = compile_request(canonical)
     run = simulate_loop(
         compiled.result,
         machine,
-        _build_layout(canonical, loop),
+        layout_for(canonical, loop),
         [canonical["trips"]] * canonical["invocations"],
         memory=machine.memory_system(),
         seed=canonical["seed"],
@@ -136,11 +204,11 @@ def _run_simulate(canonical: dict, cache_root: str | None) -> dict:
 def _run_trace(canonical: dict, cache_root: str | None) -> dict:
     from repro.trace import trace_simulation, trace_summary
 
-    machine, loop, compiled = _compile_for_run(canonical)
+    machine, loop, compiled = compile_request(canonical)
     traced = trace_simulation(
         compiled.result,
         machine,
-        _build_layout(canonical, loop),
+        layout_for(canonical, loop),
         [canonical["trips"]] * canonical["invocations"],
         seed=canonical["seed"],
     )
@@ -168,68 +236,24 @@ def _run_fuzz(canonical: dict, cache_root: str | None) -> dict:
         corpus_dir=None,
         cache_dir=cache_root,  # verdicts share the artifact store
         inject=canonical["inject"],
-        machine=canonical.get("machine", "itanium2"),
+        machine=canonical["machine"],
         gen=GenConfig(max_ops=canonical["max_ops"]),
     ))
     return summary.to_dict()
 
 
 def _run_bench(canonical: dict, cache_root: str | None) -> dict:
-    from repro.harness import compare_configs, run_suite
-    from repro.workloads import suite_by_name
-
-    suite = suite_by_name(canonical["suite"])
-    if canonical["benchmarks"]:
-        wanted = set(canonical["benchmarks"])
-        suite = [bench for bench in suite if bench.name in wanted]
-        missing = wanted - {bench.name for bench in suite}
-        if missing:
-            raise ServiceError(
-                f"unknown benchmark(s) in suite {canonical['suite']!r}: "
-                f"{', '.join(sorted(missing))}",
-                status=400,
-            )
-    scheduler = canonical.get("scheduler", "heuristic")
-    base = baseline_config(
-        pgo=canonical["pgo"], prefetch=canonical["prefetch"]
-    )
-    if scheduler != "heuristic":
-        # the scheduler applies to every column, baseline included
-        base = base.with_(
-            scheduler=scheduler, name=f"{base.name},{scheduler}"
-        )
-    variants = [
-        CompilerConfig(
-            hint_policy=HintPolicy(policy),
-            trip_count_threshold=canonical["threshold"],
-            pgo=canonical["pgo"],
-            prefetch=canonical["prefetch"],
-            scheduler=scheduler,
-        )
-        for policy in canonical["configs"]
-        if HintPolicy(policy) is not HintPolicy.BASELINE
-    ]
-    run = run_suite(
-        suite,
-        [base] + variants,
-        machine=_resolve_machine(canonical),
-        seed=canonical["seed"],
-        workers=1,  # one job = one worker; the pool parallelises jobs
-        cache=cache_root,
-        suite_name=canonical["suite"],
-        verify=canonical["verify"],
-        trace=canonical["trace"],
-    )
+    # one job = one worker; the pool parallelises jobs
+    run, _, comparisons = run_bench(canonical, cache_root, workers=1)
     manifest = run.manifest
-    gains = {
-        variant.label: compare_configs(run, base.label, variant.label).gains
-        for variant in variants
-    }
     return {
         "manifest": manifest.to_dict(),
         "fingerprint": manifest.fingerprint(),
         "summary": manifest.summary(),
-        "gains": gains,
+        "gains": {
+            label: comparison.gains
+            for label, comparison in comparisons.items()
+        },
     }
 
 

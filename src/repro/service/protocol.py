@@ -23,17 +23,17 @@ service can serve repeated traffic without touching a worker.
 
 from __future__ import annotations
 
-from repro.config import SCHEDULERS, HintPolicy
+from repro.config import HintPolicy
 from repro.errors import ServiceError
 from repro.harness.cache import hash_key
 from repro.machine import machine_names
+from repro.workloads import SUITE_NAMES
 
 #: bump when the request schema or result payloads change incompatibly
 #: (part of every request key, so stale stored results become misses)
 SCHEMA_VERSION = 3
 
 JOB_KINDS = ("compile", "simulate", "trace", "fuzz", "bench")
-SUITES = ("cpu2006", "cpu2000", "micro")
 POLICIES = tuple(policy.value for policy in HintPolicy)
 INJECT_MODES = ("none", "drop-edge")
 #: registered machine models; the machine *determines* the result, so it
@@ -43,6 +43,12 @@ MACHINES = tuple(machine_names())
 #: request body size cap mirrored by the HTTP layer
 MAX_LOOP_BYTES = 1 << 20
 
+#: fields a request no longer accepts, at the one value every stored
+#: result was computed with; :func:`request_key` restores them so every
+#: key minted before their removal still addresses its stored result
+RETIRED_REQUEST_FIELDS = {"scheduler": "heuristic"}
+
+#: longest suffixes first so ``kb`` wins over ``b``-less ``k``
 _SIZE_SUFFIXES = (
     ("kb", 1 << 10), ("mb", 1 << 20), ("gb", 1 << 30),
     ("k", 1 << 10), ("m", 1 << 20), ("g", 1 << 30),
@@ -85,13 +91,14 @@ def _choice(payload: dict, field: str, default: str | None,
     return value
 
 
-def _size(field: str, value) -> int:
-    """An integer byte count, or a ``"64M"``-style suffixed string."""
-    if isinstance(value, bool):
-        raise _bad(field, f"expected a size, got {value!r}")
+def parse_size(value) -> int:
+    """A positive byte count from an integer or a ``"64M"``/``"512kb"``
+    string; raises :class:`ValueError` on anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError("expected an integer or a string such as 64M")
     if isinstance(value, int):
         size = value
-    elif isinstance(value, str):
+    else:
         text = value.strip().lower()
         factor = 1
         for suffix, suffix_factor in _SIZE_SUFFIXES:
@@ -102,12 +109,20 @@ def _size(field: str, value) -> int:
         try:
             size = int(float(text) * factor)
         except ValueError:
-            raise _bad(field, f"unparsable size {value!r}") from None
-    else:
-        raise _bad(field, f"expected a size, got {value!r}")
+            raise ValueError(
+                "expected a number with an optional K/M/G or KB/MB/GB "
+                "suffix, e.g. 64M or 512kb"
+            ) from None
     if size <= 0:
-        raise _bad(field, f"size must be positive, got {size}")
+        raise ValueError("size must be positive")
     return size
+
+
+def _size(field: str, value) -> int:
+    try:
+        return parse_size(value)
+    except ValueError as exc:
+        raise _bad(field, f"{exc}, got {value!r}") from None
 
 
 def _reject_unknown(kind: str, payload: dict, known: set[str]) -> None:
@@ -127,20 +142,24 @@ def _loop_text(payload: dict) -> str:
     return loop
 
 
-def _config_fields(payload: dict) -> dict:
+def _tuning_fields(payload: dict) -> dict:
     return {
-        "policy": _choice(payload, "policy", "hlo", POLICIES),
         "threshold": _int(payload, "threshold", 32, lo=0, hi=1_000_000),
         "pgo": _bool(payload, "pgo", True),
         "prefetch": _bool(payload, "prefetch", True),
-        # result-determining: the exact scheduler can produce different
-        # schedules (and optimality metadata) than the heuristic, so the
-        # scheduler stays in the canonical form and the request key
-        "scheduler": _choice(payload, "scheduler", "heuristic", SCHEDULERS),
     }
 
 
-_CONFIG_KEYS = {"policy", "threshold", "pgo", "prefetch", "scheduler"}
+def normalize_config(payload: dict) -> dict:
+    """The canonical compiler-config fields of a loop request: policy,
+    threshold, pgo and prefetch, validated with their defaults filled."""
+    return {
+        "policy": _choice(payload, "policy", "hlo", POLICIES),
+        **_tuning_fields(payload),
+    }
+
+
+_CONFIG_KEYS = {"policy", "threshold", "pgo", "prefetch"}
 
 
 def _machine(payload: dict) -> str:
@@ -154,7 +173,7 @@ def _normalize_compile(payload: dict) -> dict:
     )
     return {
         "loop": _loop_text(payload),
-        **_config_fields(payload),
+        **normalize_config(payload),
         "machine": _machine(payload),
         "verify": _bool(payload, "verify", False),
     }
@@ -185,7 +204,7 @@ def _normalize_simulate(payload: dict, kind: str = "simulate") -> dict:
     _reject_unknown(kind, payload, known)
     return {
         "loop": _loop_text(payload),
-        **_config_fields(payload),
+        **normalize_config(payload),
         "machine": _machine(payload),
         "trips": _int(payload, "trips", 1000, lo=1, hi=10_000_000),
         "invocations": _int(payload, "invocations", 1, lo=1, hi=100_000),
@@ -220,7 +239,7 @@ def _normalize_bench(payload: dict) -> dict:
          "machine"}
         | _CONFIG_KEYS - {"policy"},
     )
-    suite = _choice(payload, "suite", None, SUITES)
+    suite = _choice(payload, "suite", None, SUITE_NAMES)
     benchmarks = payload.get("benchmarks")
     if benchmarks is not None:
         if (not isinstance(benchmarks, list) or not benchmarks
@@ -238,10 +257,7 @@ def _normalize_bench(payload: dict) -> dict:
         "suite": suite,
         "benchmarks": benchmarks,
         "configs": sorted(set(configs)),
-        "threshold": _int(payload, "threshold", 32, lo=0, hi=1_000_000),
-        "pgo": _bool(payload, "pgo", True),
-        "prefetch": _bool(payload, "prefetch", True),
-        "scheduler": _choice(payload, "scheduler", "heuristic", SCHEDULERS),
+        **_tuning_fields(payload),
         "seed": _int(payload, "seed", 2008, lo=0, hi=2**31 - 1),
         "machine": _machine(payload),
         "verify": _bool(payload, "verify", False),
@@ -290,6 +306,8 @@ def request_key(kind: str, canonical: dict) -> str:
     Different machine models produce different cycles, so each machine
     addresses its own stored artifact.
     """
+    if kind != "fuzz":
+        canonical = {**canonical, **RETIRED_REQUEST_FIELDS}
     return hash_key({
         "schema": SCHEMA_VERSION,
         "kind": kind,

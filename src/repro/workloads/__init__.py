@@ -12,6 +12,7 @@ and cache-resident indirect accesses with bad static estimates
 
 from repro.workloads.loops import LoopTemplate, TEMPLATES
 from repro.workloads.spec import (
+    SUITE_NAMES,
     Benchmark,
     LoopWorkload,
     cpu2006_suite,
@@ -24,6 +25,7 @@ from repro.workloads.spec import (
 __all__ = [
     "LoopTemplate",
     "TEMPLATES",
+    "SUITE_NAMES",
     "Benchmark",
     "LoopWorkload",
     "cpu2006_suite",

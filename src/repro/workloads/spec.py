@@ -351,15 +351,20 @@ def cpu2000_suite() -> list[Benchmark]:
     ]
 
 
+_SUITES = {
+    "cpu2006": cpu2006_suite,
+    "cpu2000": cpu2000_suite,
+    "micro": micro_suite,
+}
+#: every registered suite name: the CLI's ``--suite`` choices and the
+#: service's ``suite`` field
+SUITE_NAMES = tuple(_SUITES)
+
+
 def suite_by_name(name: str) -> list[Benchmark]:
-    """The suite registered under ``name`` (cpu2006 / cpu2000 / micro)."""
-    suites = {
-        "cpu2006": cpu2006_suite,
-        "cpu2000": cpu2000_suite,
-        "micro": micro_suite,
-    }
+    """The suite registered under ``name`` (see :data:`SUITE_NAMES`)."""
     try:
-        return suites[name.lower()]()
+        return _SUITES[name.lower()]()
     except KeyError:
         raise KeyError(f"unknown suite {name!r}") from None
 

@@ -31,6 +31,7 @@ from repro.ddg.edges import DepKind
 from repro.ir import Instruction, Loop, MemRef, opcode, parse_loop
 from repro.ir.registers import greg
 from repro.machine import ItaniumMachine
+from repro.pipeliner import optimal_pipeline_loop
 
 COPY_ADD = """
 memref A affine stride=4 space=a
@@ -53,9 +54,9 @@ loop daxpy trips=1000 source=pgo
 """
 
 
-def compile_text(text, config):
+def compile_text(text, config, pipeliner=None):
     compiler = LoopCompiler(ItaniumMachine(), config)
-    return compiler.compile(parse_loop(text)).result
+    return compiler.compile(parse_loop(text), pipeliner=pipeliner).result
 
 
 @pytest.fixture
@@ -332,7 +333,9 @@ class TestHintMutations:
 @pytest.fixture
 def exact():
     """copy_add under the exact scheduler: proven optimal, full stats."""
-    result = compile_text(COPY_ADD, CompilerConfig(scheduler="optimal"))
+    result = compile_text(
+        COPY_ADD, CompilerConfig(), pipeliner=optimal_pipeline_loop
+    )
     assert result.pipelined and result.stats.scheduler == "optimal"
     assert result.stats.optimal_status == "optimal"
     return result

@@ -100,36 +100,6 @@ class TestSimulateCommand:
         assert "no --space" in capsys.readouterr().err
 
 
-class TestExperimentCommand:
-    def test_single_benchmark(self, capsys):
-        rc = main([
-            "experiment", "--suite", "cpu2006",
-            "--benchmark", "464.h264ref",
-            "--policy", "all-loads-l3", "-n", "0",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "464.h264ref" in out and "Geomean" in out
-
-    def test_unknown_benchmark(self, capsys):
-        rc = main(["experiment", "--benchmark", "999.bogus"])
-        assert rc == 2
-
-    def test_jobs_and_cache_dir(self, tmp_path, capsys):
-        """--jobs routes through the pool, --cache-dir through the cache."""
-        args = [
-            "experiment", "--suite", "micro", "--policy", "hlo",
-            "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
-        ]
-        assert main(args) == 0
-        out1 = capsys.readouterr().out
-        assert "Geomean" in out1
-        # second invocation replays from the cache, same table
-        assert main(args) == 0
-        assert capsys.readouterr().out == out1
-        assert any((tmp_path / "cache").iterdir())
-
-
 class TestBenchCommand:
     def test_bench_micro_smoke_and_warm_cache(self, tmp_path, capsys):
         args = [
@@ -158,6 +128,60 @@ class TestBenchCommand:
 
     def test_bench_unknown_benchmark(self, capsys):
         assert main(["bench", "--benchmark", "999.bogus"]) == 2
+        # one known name must not hide an unknown one
+        assert main([
+            "bench", "--suite", "micro", "--benchmark", "micro.stream",
+            "--benchmark", "micro.typo", "--no-cache",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "unknown benchmark(s) in suite 'micro': micro.typo" in err
+
+    def test_bench_config_unknown_benchmark(self, capsys):
+        """The one-policy run (formerly ``experiment``) rejects it too."""
+        assert main([
+            "bench", "--config", "hlo", "--benchmark", "999.bogus",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "unknown benchmark(s) in suite 'cpu2006': 999.bogus" in err
+
+    def test_bench_single_benchmark_config(self, tmp_path, capsys):
+        rc = main([
+            "bench", "--suite", "cpu2006",
+            "--benchmark", "464.h264ref",
+            "--config", "all-loads-l3", "-n", "0", "--no-cache",
+            "--manifest", str(tmp_path / "m.json"),
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "464.h264ref" in out and "Geomean" in out
+
+    def test_bench_config_jobs_and_cache_dir(self, tmp_path, capsys):
+        """--jobs routes through the pool, --cache-dir through the cache."""
+        args = [
+            "bench", "--suite", "micro", "--config", "hlo",
+            "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
+            "--manifest", str(tmp_path / "m.json"),
+        ]
+        assert main(args) == 0
+        table1 = capsys.readouterr().out.split("\n\n")[0]
+        assert "Geomean" in table1
+        # second invocation replays from the cache, same table
+        assert main(args) == 0
+        out2 = capsys.readouterr().out
+        assert out2.split("\n\n")[0] == table1
+        assert "cache 8/8 hits (100%)" in out2
+        assert any((tmp_path / "cache").iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--suite", "micro"],
+        ["bench", "--suite", "micro", "--scheduler", "optimal"],
+        ["bench", "--suite", "micro", "--optimal-budget", "10"],
+        ["compile", "loop.s", "--scheduler", "optimal"],
+    ])
+    def test_retired_command_and_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestCompareCommand:
@@ -260,11 +284,12 @@ class TestVerifyFlags:
         ]) == 0
         assert "verification:" not in capsys.readouterr().out
 
-    def test_experiment_verify(self, tmp_path, capsys):
+    def test_bench_config_verify(self, tmp_path, capsys):
         assert main([
-            "experiment", "--suite", "micro", "--policy", "all-loads-l3",
+            "bench", "--suite", "micro", "--config", "all-loads-l3",
             "-n", "0", "--jobs", "2",
-            "--cache-dir", str(tmp_path / "cache"), "--verify",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--manifest", str(tmp_path / "m.json"), "--verify",
         ]) == 0
         out = capsys.readouterr().out
         assert "Geomean" in out
@@ -340,10 +365,10 @@ class TestTraceFlags:
         assert "cache 8/8 hits (100%)" in out
         assert "trace: 8/8 cells traced, accounting OK" in out
 
-    def test_experiment_trace(self, capsys):
+    def test_bench_single_benchmark_trace(self, tmp_path, capsys):
         assert main([
-            "experiment", "--suite", "micro", "--benchmark", "micro.stream",
-            "--trace",
+            "bench", "--suite", "micro", "--benchmark", "micro.stream",
+            "--no-cache", "--manifest", str(tmp_path / "m.json"), "--trace",
         ]) == 0
         out = capsys.readouterr().out
         assert "cells traced, accounting OK" in out

@@ -105,6 +105,23 @@ class TestArtifactCache:
         )
 
 
+#: loop-run cache keys of micro.stream on itanium2 (seed 2008), minted
+#: while configs still carried the retired scheduler fields: every
+#: default-config cache entry stays addressable
+PINNED_LOOP_RUN_KEYS = {
+    "baseline": "d3b70f538cefc15595c15b4069ac20226b6e474ddbd734465bed484d7bedef3d",
+    "hlo,n=32,pgo": "6c733924e81abdd8ced7c8de5b547b9af4d1c5ef953244a54714892bc2953070",
+}
+
+
+def test_loop_run_keys_match_pinned_digests():
+    bench = benchmark_by_name("micro.stream")
+    machine = ItaniumMachine()
+    for config in (baseline_config(), CompilerConfig()):
+        key = hash_key(loop_run_key(bench, config, machine, 2008))
+        assert key == PINNED_LOOP_RUN_KEYS[config.label]
+
+
 class TestCacheDeterminism:
     def test_hit_serves_identical_counters(self, tmp_path):
         """Same key: the cached replay is bit-identical to the live run."""

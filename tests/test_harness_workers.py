@@ -7,6 +7,7 @@ without disturbing the rest of the batch, and worker crashes surface as
 errors rather than hangs.
 """
 
+import concurrent.futures
 import os
 import threading
 import time
@@ -80,6 +81,46 @@ def test_completed_but_overdue_task_still_counts_as_timeout(pool):
     assert result.status == TASK_TIMEOUT
 
 
+def test_a_late_deadline_check_spares_the_worker_that_moved_on():
+    """A supervisor tick can see a task's deadline pass only after its
+    worker finished it and took the next task; that tick must not kill
+    the worker, or the next task is lost and its future never resolves."""
+    pool = WorkerPool(1, name="late-tick-pool")
+    try:
+        assert pool.submit(_square, 3).result(30.0).value == 9  # task 0
+        slow = pool.submit(_sleepy, 0.5)  # task 1
+        for _ in range(2000):
+            with pool._lock:
+                if pool._running:
+                    (pid,) = pool._running
+                    # task 0's start, handled long past its deadline
+                    pool._running[pid] = (0, 0.0)
+                    break
+            time.sleep(0.005)
+        else:
+            pytest.fail("task 1 never started")
+        assert slow.result(10.0).status == TASK_OK
+        assert pool.reaped == 0
+    finally:
+        pool.close()
+
+
+def test_reaping_overdue_tasks_never_silences_the_pool():
+    """Workers killed at their deadline, often right after their "start"
+    report, must leave every other worker able to report: each of these
+    tasks resolves, as a timeout, with more workers than cores."""
+    with WorkerPool(3, name="reap-stress-pool") as pool:
+        futures = [
+            pool.submit(_sleepy, 0.002, timeout=1e-4) for _ in range(60)
+        ]
+        # one bound for the whole batch: a silenced pool fails here
+        # instead of waiting out every future in turn
+        _, unresolved = concurrent.futures.wait(futures, timeout=60.0)
+        assert not unresolved
+    results = [f.result() for f in futures]
+    assert [r.status for r in results] == [TASK_TIMEOUT] * 60
+
+
 def test_worker_crash_surfaces_as_error_and_respawns(pool):
     crashed = pool.submit(_die, None)
     result = crashed.result(30.0)
@@ -143,7 +184,7 @@ def test_closing_a_busy_pool_never_raises_in_the_supervisor(monkeypatch):
         pool = WorkerPool(2, name="busy-close-pool")
         with pool._lock:
             pool._procs = _SlowDict(pool._procs)
-            pool._slot_of = _SlowDict(pool._slot_of)
+            pool._inboxes = _SlowDict(pool._inboxes)
         # workers still busy for 0-90 ms when close() starts, so its
         # teardown lands at different points of the supervisor's pass
         futures = [pool.submit(_sleepy, 0.01 * round_index)

@@ -8,8 +8,6 @@ hand-written loops; the suite-wide differential evidence lives in
 ``tests/test_optimal_gap.py``.
 """
 
-import pytest
-
 from repro.analysis import verify_result
 from repro.config import CompilerConfig, HintPolicy
 from repro.core.compiler import LoopCompiler
@@ -162,8 +160,9 @@ class TestOptimalDriver:
         the heuristic fallback lands on min_ii, which ResII/RecII
         certify without any search."""
         machine = ItaniumMachine()
-        config = CompilerConfig(scheduler="optimal", optimal_budget=1)
-        opt = optimal_pipeline_loop(parse_loop(COPY_ADD), machine, config)
+        opt = optimal_pipeline_loop(
+            parse_loop(COPY_ADD), machine, CompilerConfig(), budget=1
+        )
         assert opt.pipelined
         assert opt.stats.ii == opt.bounds.min_ii
         assert opt.stats.optimal_status == "optimal"
@@ -177,8 +176,9 @@ class TestOptimalDriver:
 
         machine = ItaniumMachine()
         loop = generate_loop(49, GenConfig(max_ops=28))
-        config = CompilerConfig(scheduler="optimal", optimal_budget=60)
-        opt = optimal_pipeline_loop(loop, machine, config)
+        opt = optimal_pipeline_loop(
+            loop, machine, CompilerConfig(), budget=60
+        )
         heur = pipeline_loop(
             generate_loop(49, GenConfig(max_ops=28)), machine,
             CompilerConfig(),
@@ -189,11 +189,11 @@ class TestOptimalDriver:
         assert opt.stats.ii_lower_bound <= opt.stats.ii
         assert verify_result(opt).ok
 
-    def test_compiler_scheduler_knob(self):
+    def test_compiler_runs_the_solver_behind_hlo(self):
         machine = ItaniumMachine()
-        compiled = LoopCompiler(
-            machine, CompilerConfig(scheduler="optimal")
-        ).compile(parse_loop(DAXPY))
+        compiled = LoopCompiler(machine, CompilerConfig()).compile(
+            parse_loop(DAXPY), pipeliner=optimal_pipeline_loop
+        )
         assert compiled.stats.scheduler == "optimal"
         assert compiled.stats.optimal_status == "optimal"
         heuristic = LoopCompiler(machine, CompilerConfig()).compile(
@@ -210,16 +210,11 @@ class TestOptimalDriver:
         config = CompilerConfig(
             hint_policy=HintPolicy.ALL_LOADS_L3,
             trip_count_threshold=0,
-            scheduler="optimal",
         )
-        compiled = LoopCompiler(machine, config).compile(parse_loop(COPY_ADD))
+        compiled = LoopCompiler(machine, config).compile(
+            parse_loop(COPY_ADD), pipeliner=optimal_pipeline_loop
+        )
         assert compiled.stats.pipelined
         assert compiled.stats.scheduler == "optimal"
         report = verify_result(compiled.result)
         assert report.ok, report.render_text()
-
-    def test_bad_scheduler_name_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            CompilerConfig(scheduler="smt")

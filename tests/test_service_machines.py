@@ -56,33 +56,53 @@ def test_machine_is_part_of_the_request_key():
 
 
 #: request keys minted when simulate/bench requests still carried a
-#: stripped ``backend`` field; stored results stay addressable
+#: stripped ``backend`` field and every loop and bench request a
+#: ``scheduler`` field; stored results stay addressable
 PINNED_KEYS = {
     "simulate": "9c0e0626aab4a6c7e50d667098be25316dbc0455c07541afe8132d2b48fbefd2",
     "bench": "cba24c46921041e9903ab48551a953e49b16511e0b27dd7f32656532f8ae9900",
+    "compile": "91bf7dc220e58ee3e2498aad186aa91d149d0cb6bdb6b03829d45be286aae574",
+    "trace": "681dfd1e87bd4812f535170d59226f112c773e7ead6918ee845cf0726069e6d3",
 }
 
 
 def test_request_keys_match_pinned_digests():
     loop = ("memref A affine stride=4 space=a\nloop l trips=8\n"
             "  ld4 r1 = [r2], 4 !A\n")
-    simulate = normalize_request("simulate", {"loop": loop})
-    bench = normalize_request("bench", {"suite": "micro"})
-    assert request_key("simulate", simulate) == PINNED_KEYS["simulate"]
-    assert request_key("bench", bench) == PINNED_KEYS["bench"]
+    payloads = {
+        "simulate": {"loop": loop},
+        "bench": {"suite": "micro"},
+        "compile": {"loop": loop},
+        "trace": {"loop": loop},
+    }
+    for kind, payload in payloads.items():
+        key = request_key(kind, normalize_request(kind, payload))
+        assert key == PINNED_KEYS[kind], kind
+
+
+#: fields requests no longer accept, with the values they once took
+RETIRED_FIELDS = {
+    "backend": ("", "interp", "fast"),
+    "scheduler": ("", "heuristic", "optimal"),
+}
 
 
 def test_retired_backend_field_is_an_unknown_field_400():
+    loop_request = {"loop": "loop l\n  ld4 r4 = [r5], 4 !A\nend"}
     payloads = {
-        "simulate": {"loop": "loop l\n  ld4 r4 = [r5], 4 !A\nend"},
+        "compile": loop_request,
+        "simulate": loop_request,
+        "trace": loop_request,
         "bench": {"suite": "micro"},
     }
     for kind, payload in payloads.items():
-        for backend in ("", "interp", "fast"):
-            with pytest.raises(ServiceError) as exc:
-                normalize_request(kind, {**payload, "backend": backend})
-            assert exc.value.status == 400
-            assert "backend" in str(exc.value)
+        for field, values in RETIRED_FIELDS.items():
+            for value in values:
+                with pytest.raises(ServiceError) as exc:
+                    normalize_request(kind, {**payload, field: value})
+                assert exc.value.status == 400
+                assert "unknown field" in str(exc.value)
+                assert field in str(exc.value)
 
 
 def test_unknown_machine_is_a_structured_400():

@@ -37,7 +37,6 @@ def test_defaults_are_filled_and_stable():
         "threshold": 32,
         "pgo": True,
         "prefetch": True,
-        "scheduler": "heuristic",
         "seed": 2008,
         "machine": "itanium2",
         "verify": False,
@@ -80,10 +79,6 @@ def test_different_work_gets_different_keys():
     base = key_of("bench", {"suite": "micro"})
     assert key_of("bench", {"suite": "micro", "seed": 7}) != base
     assert key_of("bench", {"suite": "cpu2000"}) != base
-    # the scheduler determines results, so it must address its own entry
-    assert key_of("bench", {"suite": "micro", "scheduler": "optimal"}) != base
-    assert (key_of("compile", {"loop": DAXPY, "scheduler": "optimal"})
-            != key_of("compile", {"loop": DAXPY}))
     # the kind participates in the key even for equal payload dicts
     sim = normalize_request("simulate", {"loop": DAXPY})
     assert request_key("simulate", sim) != request_key("trace", sim)
@@ -112,7 +107,7 @@ def test_unknown_field_is_rejected_with_the_accepted_list():
     {"suite": "micro", "configs": ["jit"]},  # unknown policy
     {"suite": "micro", "seed": -1},          # out of range
     {"suite": "micro", "seed": True},        # bool is not an int
-    {"suite": "micro", "scheduler": "smt"},  # unknown scheduler
+    {"suite": "micro", "scheduler": "smt"},  # retired field
 ])
 def test_bad_bench_payloads_are_rejected(payload):
     with pytest.raises(ServiceError):

@@ -34,7 +34,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.config import DEFAULT_OPTIMAL_BUDGET
 from repro.harness.gap import (
     DEFAULT_FUZZ_CASES,
     DEFAULT_FUZZ_SEED,
@@ -42,6 +41,7 @@ from repro.harness.gap import (
     harvestable,
     run_gap_campaign,
 )
+from repro.pipeliner.optimal import DEFAULT_OPTIMAL_BUDGET
 
 SUITES = ("micro", "cpu2000", "cpu2006")
 
