@@ -15,9 +15,9 @@ from repro.core import accumulate_account, format_account_table
 
 
 @pytest.fixture(scope="module")
-def accounts(exp2006):
-    base = exp2006.run_config(base_cfg(pgo=False))
-    variant = exp2006.run_config(hlo_cfg(pgo=False))
+def accounts(nopgo2006):
+    base = nopgo2006.config(base_cfg(pgo=False).label)
+    variant = nopgo2006.config(hlo_cfg(pgo=False).label)
     return (
         accumulate_account(base, "baseline"),
         accumulate_account(variant, "hlo-hints"),

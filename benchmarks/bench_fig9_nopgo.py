@@ -11,20 +11,24 @@ import pytest
 
 from benchmarks.conftest import base_cfg, hlo_cfg, l3_cfg
 from repro.core import format_gain_table
+from repro.harness import compare_configs
+
+BASE = base_cfg(pgo=False).label
 
 
 @pytest.fixture(scope="module")
-def fig9(exp2006):
-    base = base_cfg(pgo=False)
+def fig9(nopgo2006):
     return {
-        "all-l3": exp2006.compare(base, l3_cfg(32, pgo=False)),
-        "hlo": exp2006.compare(base, hlo_cfg(pgo=False)),
+        "all-l3": compare_configs(
+            nopgo2006, BASE, l3_cfg(32, pgo=False).label
+        ),
+        "hlo": compare_configs(nopgo2006, BASE, hlo_cfg(pgo=False).label),
     }
 
 
-def test_fig9_nopgo(benchmark, record, exp2006, fig9):
+def test_fig9_nopgo(benchmark, record, nopgo2006, fig9):
     benchmark.pedantic(
-        lambda: exp2006.compare(base_cfg(pgo=False), hlo_cfg(pgo=False)),
+        lambda: compare_configs(nopgo2006, BASE, hlo_cfg(pgo=False).label),
         rounds=1, iterations=1,
     )
     record(

@@ -10,22 +10,24 @@ import math
 
 import pytest
 
-from benchmarks.conftest import base_cfg, l3_cfg
-from repro.core import Experiment
+from benchmarks.conftest import base_cfg, l3_cfg, run_compare
 from repro.workloads import cpu2000_suite, cpu2006_suite
 
 
 @pytest.fixture(scope="module")
-def combined_runs():
+def combined_runs(harness_cache, harness_jobs):
     results = {}
     for prefetch in (True, False):
+        variant = l3_cfg(32, prefetch=prefetch)
         gains = {}
         for suite in (cpu2006_suite(), cpu2000_suite()):
-            exp = Experiment(suite, seed=2008)
-            res = exp.compare(
+            res = run_compare(
+                suite,
                 base_cfg(prefetch=prefetch),
-                l3_cfg(32, prefetch=prefetch),
-            )
+                [variant],
+                cache=harness_cache,
+                workers=harness_jobs,
+            )[variant.label]
             gains.update(
                 {
                     name: res.baseline[name].total_cycles

@@ -15,9 +15,9 @@ from repro.ir.registers import RegClass
 
 
 @pytest.fixture(scope="module")
-def register_stats(exp2006):
-    base = exp2006.run_config(base_cfg(pgo=False))
-    variant = exp2006.run_config(hlo_cfg(pgo=False))
+def register_stats(nopgo2006):
+    base = nopgo2006.config(base_cfg(pgo=False).label)
+    variant = nopgo2006.config(hlo_cfg(pgo=False).label)
     return (
         register_statistics(base, "baseline"),
         register_statistics(variant, "hlo-hints"),

@@ -1,15 +1,15 @@
 """Shared fixtures for the benchmark harness.
 
-Experiment objects are session-scoped so runs are computed once and shared
-between figures (Fig. 8's HLO run is also Fig. 10's variant, etc.).  Every
-bench prints the same rows/series the paper reports and appends them to
-``results/`` next to this directory, which is where EXPERIMENTS.md numbers
-come from.
+Every bench prints the same rows/series the paper reports and appends
+them to ``results/`` next to this directory, which is where
+EXPERIMENTS.md numbers come from.
 
-The figure sweeps (Fig. 7/8, ablations) run through ``repro.harness``: a
+Every suite sweep runs through ``repro.harness.run_suite``: a
 session-scoped artifact cache deduplicates the shared cells (every sweep
 column re-uses the same baseline run), and ``REPRO_BENCH_JOBS=N`` in the
-environment fans the cell jobs out over N worker processes.
+environment fans the cell jobs out over N worker processes.  The CPU2006
+no-PGO grid is session-scoped too, so Fig. 9, Fig. 10 and Sec. 4.5 read
+one run.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import pathlib
 import pytest
 
 from repro.config import CompilerConfig, HintPolicy, baseline_config
-from repro.core import Experiment
-from repro.harness import ArtifactCache, compare_configs, run_suite
+from repro.harness import ArtifactCache, SuiteRun, compare_configs, run_suite
 from repro.machine import ItaniumMachine
-from repro.workloads import cpu2000_suite, cpu2006_suite
+from repro.workloads import cpu2006_suite
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -72,13 +71,20 @@ def run_compare(
 
 
 @pytest.fixture(scope="session")
-def exp2006() -> Experiment:
-    return Experiment(cpu2006_suite(), seed=2008)
+def nopgo2006(harness_cache, harness_jobs) -> SuiteRun:
+    """CPU2006 without PGO under the baseline, all-L3 n=32 and HLO hints.
 
-
-@pytest.fixture(scope="session")
-def exp2000() -> Experiment:
-    return Experiment(cpu2000_suite(), seed=2008)
+    Built on first use, so its cells are computed in-process and carry
+    the per-loop compile artifacts that Sec. 4.5's statistics read.
+    """
+    return run_suite(
+        cpu2006_suite(),
+        [base_cfg(pgo=False), l3_cfg(32, pgo=False), hlo_cfg(pgo=False)],
+        workers=harness_jobs,
+        cache=harness_cache,
+        seed=2008,
+        suite_name="cpu2006",
+    )
 
 
 @pytest.fixture(scope="session")

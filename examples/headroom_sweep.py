@@ -9,9 +9,11 @@ separates the two — except when training and reference inputs disagree
 Run:  python examples/headroom_sweep.py        (~1 minute)
 """
 
-from repro import Experiment
+import tempfile
+
 from repro.config import CompilerConfig, HintPolicy, baseline_config
 from repro.core import format_gain_table
+from repro.harness import compare_configs, run_suite
 from repro.workloads import benchmark_by_name
 
 BENCHMARKS = ["429.mcf", "444.namd", "464.h264ref", "177.mesa"]
@@ -19,21 +21,32 @@ THRESHOLDS = [0, 8, 16, 32, 64]
 
 
 def main() -> None:
-    exp = Experiment([benchmark_by_name(n) for n in BENCHMARKS], seed=2008)
     base = baseline_config()
-
-    sweep = {}
-    for n in THRESHOLDS:
-        cfg = CompilerConfig(
+    columns = {
+        f"n={n}": CompilerConfig(
             hint_policy=HintPolicy.ALL_LOADS_L3,
             trip_count_threshold=n,
             name=f"n={n}",
         )
-        sweep[f"n={n}"] = exp.compare(base, cfg)
+        for n in THRESHOLDS
+    }
+    columns["HLO"] = CompilerConfig(
+        hint_policy=HintPolicy.HLO, trip_count_threshold=32, name="hlo"
+    )
 
-    hlo = CompilerConfig(hint_policy=HintPolicy.HLO, trip_count_threshold=32,
-                         name="hlo")
-    sweep["HLO"] = exp.compare(base, hlo)
+    # one grid; the scratch cache lets every column reuse the baseline
+    # run that prices its serial cycles
+    with tempfile.TemporaryDirectory() as cache:
+        run = run_suite(
+            [benchmark_by_name(n) for n in BENCHMARKS],
+            [base, *columns.values()],
+            seed=2008,
+            cache=cache,
+        )
+    sweep = {
+        column: compare_configs(run, base.label, cfg.label)
+        for column, cfg in columns.items()
+    }
 
     print(format_gain_table(
         sweep, title="Headroom sweep (all loads @ L3) vs HLO-directed hints"

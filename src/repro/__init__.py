@@ -26,7 +26,7 @@ Quickstart::
 
 from repro.config import CompilerConfig, HintPolicy, baseline_config
 from repro.core.compiler import CompiledLoop, LoopCompiler
-from repro.core.experiment import Experiment, ExperimentResult, percent_gain
+from repro.core.results import ExperimentResult, percent_gain
 from repro.core.theory import (
     additional_latency_for_clustering,
     clustering_factor,
@@ -50,7 +50,6 @@ __all__ = [
     "baseline_config",
     "CompiledLoop",
     "LoopCompiler",
-    "Experiment",
     "ExperimentResult",
     "percent_gain",
     "additional_latency_for_clustering",

@@ -3,8 +3,9 @@
 :class:`~repro.core.compiler.LoopCompiler` is the public entry point: it
 runs HLO (prefetching + hint marking), the latency-tolerant pipeliner, and
 register allocation under one :class:`~repro.config.CompilerConfig`.
-The experiment module reruns the paper's Sec. 4 evaluations on the
-synthetic SPEC-archetype suite.
+:mod:`repro.core.results` holds the per-benchmark and per-suite result
+containers that :func:`repro.harness.run_suite` fills when it reruns the
+paper's Sec. 4 evaluations on the synthetic SPEC-archetype suite.
 """
 
 from repro.core.theory import (
@@ -15,10 +16,9 @@ from repro.core.theory import (
     fig5_series,
 )
 from repro.core.compiler import CompiledLoop, LoopCompiler
-from repro.core.experiment import (
+from repro.core.results import (
     BenchmarkResult,
     ExperimentResult,
-    Experiment,
     percent_gain,
 )
 from repro.core.accounting import (
@@ -45,7 +45,6 @@ __all__ = [
     "LoopCompiler",
     "BenchmarkResult",
     "ExperimentResult",
-    "Experiment",
     "percent_gain",
     "CycleAccount",
     "accumulate_account",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from repro.core.accounting import BUCKETS, CycleAccount
-from repro.core.experiment import ExperimentResult
+from repro.core.results import ExperimentResult
 
 
 def format_gain_table(

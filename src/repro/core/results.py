@@ -1,10 +1,15 @@
 """Result containers for benchmark and suite experiments.
 
-These dataclasses are the common currency between the serial
-:class:`~repro.core.experiment.Experiment` driver and the parallel
-:mod:`repro.harness` job layer: both produce the same
-:class:`BenchmarkResult` values, and the equality tests in
-``tests/test_harness.py`` hold them to bit-identical cycle counts.
+They follow the paper's Sec. 4.1 method: each benchmark is run by
+itself, its percentage gain over the baseline compiler is reported, and
+a suite is summarised by the geometric mean of the runtime ratios.
+
+:func:`repro.harness.run_suite` fills a :class:`BenchmarkResult` per
+(benchmark, config) cell, serially or on a worker pool, and
+:func:`repro.harness.compare_configs` folds two configs of one grid into
+an :class:`ExperimentResult`; the equality tests in
+``tests/test_harness.py`` hold serial and pooled runs to bit-identical
+cycle counts.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.experiment import BenchmarkResult
+from repro.core.results import BenchmarkResult
+from repro.errors import HarnessError
 from repro.ir.registers import RegClass
 
 
@@ -63,7 +64,12 @@ _FILE_SIZES = {RegClass.GR: 128, RegClass.FR: 128, RegClass.PR: 64}
 def register_statistics(
     results: dict[str, BenchmarkResult], label: str
 ) -> RegisterStatistics:
-    """Aggregate pipeliner statistics over a suite run."""
+    """Aggregate pipeliner statistics over a suite run.
+
+    Needs the per-loop compile artifacts, which a result served from the
+    artifact cache does not carry: such a result raises
+    :class:`HarnessError` instead of counting as a suite of empty loops.
+    """
     allocated = {rc: 0 for rc in _FILE_SIZES}
     util_sum = {rc: 0.0 for rc in _FILE_SIZES}
     spills = 0
@@ -74,6 +80,12 @@ def register_statistics(
     fallbacks = 0
 
     for bench in results.values():
+        if bench.loop_cycles > 0 and not bench.loops:
+            raise HarnessError(
+                f"{bench.name} [{bench.config_label}] has no loop "
+                f"artifacts (served from the artifact cache?): register "
+                f"statistics need an in-process run"
+            )
         for outcome in bench.loops:
             stats = outcome.compiled.stats
             attempts += stats.attempts

@@ -1,15 +1,13 @@
 """Pure, picklable experiment jobs.
 
 One job = one (benchmark, config) cell of a suite sweep.  The run logic
-here is the code that used to live inside
-:class:`repro.core.experiment.Experiment` — hoisted into module-level
-functions of only their arguments so that
+is a set of module-level functions of only their arguments, so that
 
-* the serial :class:`~repro.core.experiment.Experiment` driver and the
-  :mod:`repro.harness.pool` workers execute the *same* code (the equality
-  tests hold them to bit-identical cycles and counters), and
-* a job can be pickled to a ``ProcessPoolExecutor`` worker and its
-  outcome memoised in the content-addressed artifact cache.
+* the serial and pooled paths of :func:`repro.harness.pool.run_suite`
+  execute the *same* code (the equality tests hold them to bit-identical
+  cycles and counters), and
+* a job can be pickled to a worker process and its outcome memoised in
+  the content-addressed artifact cache.
 
 Cache granularity is one *loop run*: all hot loops of a benchmark under
 one config.  A benchmark cell needs two loop runs — its own config and
@@ -31,9 +29,9 @@ from repro.core.results import SERIAL_SPLIT, BenchmarkResult, LoopOutcome
 from repro.hlo.profiles import BlockProfile, collect_block_profile
 from repro.ir.printer import format_loop
 from repro.machine.itanium2 import ItaniumMachine
+from repro.sim.address import stable_hash
 from repro.sim.counters import PerfCounters
 from repro.sim.executor import simulate_loop
-from repro.sim.memory import MemorySystem
 from repro.workloads.spec import Benchmark
 
 #: sentinel: "derive the profile from the benchmark iff the config wants PGO"
@@ -100,14 +98,6 @@ class JobOutcome:
     status: str = "ok"
 
 
-def _stable(text: str) -> int:
-    """Deterministic small hash (``hash`` is salted per process)."""
-    value = 0
-    for ch in text:
-        value = (value * 131 + ord(ch)) % 1_000_003
-    return value
-
-
 def collect_profile(bench: Benchmark, seed: int) -> BlockProfile:
     """The PGO block profile from the benchmark's training inputs."""
     dists = {}
@@ -115,6 +105,18 @@ def collect_profile(bench: Benchmark, seed: int) -> BlockProfile:
         loop, _ = lw.build()
         dists[loop.name] = lw.data.train
     return collect_block_profile(dists, seed=seed)
+
+
+def sample_trips(bench: Benchmark, pos: int, seed: int) -> np.ndarray:
+    """Per-invocation trip counts of ``bench``'s ``pos``-th hot loop.
+
+    Drawn from the reference input with a stream seeded by the run seed,
+    the loop's position and the benchmark name, so every config of one
+    benchmark replays the same trips.
+    """
+    lw = bench.loops[pos]
+    rng = np.random.default_rng(seed + pos * 977 + stable_hash(bench.name))
+    return lw.data.ref.sample(rng, lw.invocations)
 
 
 def aggregate_verification(
@@ -191,8 +193,7 @@ def run_loops(
             from repro.analysis import verify_compiled
 
             reports.append(verify_compiled(compiled))
-        rng = np.random.default_rng(seed + pos * 977 + _stable(bench.name))
-        trips = lw.data.ref.sample(rng, lw.invocations)
+        trips = sample_trips(bench, pos, seed)
         memory = machine.memory_system()
         sink = StallAttribution() if trace else None
         sim = simulate_loop(
@@ -472,9 +473,9 @@ def cached_loop_run(
 def run_job(job: BenchmarkJob, cache=None) -> JobOutcome:
     """Execute one (benchmark, config) cell, through the cache when given.
 
-    The serial-cycle anchor is priced off the canonical baseline config —
-    exactly as :meth:`Experiment._serial_cycles` does — and is itself a
-    cacheable loop run shared by every config of the same benchmark.
+    The serial-cycle anchor is priced off the canonical baseline config
+    and is itself a cacheable loop run shared by every config of the same
+    benchmark.
     """
     start = time.perf_counter()
     bench = job.benchmark

@@ -46,7 +46,8 @@ class StreamSpec:
     node_size: int = 64
 
 
-def _stable_hash(text: str) -> int:
+def stable_hash(text: str) -> int:
+    """Deterministic small hash (``hash`` is salted per process)."""
     value = 0
     for ch in text:
         value = (value * 131 + ord(ch)) % 1_000_003
@@ -74,7 +75,7 @@ class AddressMap:
                     f"{existing.size} and {size}"
                 )
             return existing
-        phase = (_stable_hash(name) % 256) * 16
+        phase = (stable_hash(name) % 256) * 16
         region = Region(name, self._next_base + phase, size)
         span = max(size + phase, 1)
         self._next_base += ((span // _REGION_ALIGN) + 2) * _REGION_ALIGN

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import CompilerConfig, HintPolicy, baseline_config
 from repro.core import (
-    Experiment,
     LoopCompiler,
     accumulate_account,
     format_account_table,
@@ -13,6 +12,14 @@ from repro.core import (
     register_statistics,
 )
 from repro.core.statistics import format_register_table
+from repro.errors import HarnessError
+from repro.harness import (
+    ArtifactCache,
+    BenchmarkJob,
+    compare_configs,
+    run_job,
+    run_suite,
+)
 from repro.hlo.profiles import TripDistribution, collect_block_profile
 from repro.ir.memref import LatencyHint
 from repro.workloads import benchmark_by_name
@@ -61,10 +68,16 @@ class TestLoopCompiler:
         assert compiled.plan.decisions
 
 
+HLO = CompilerConfig(hint_policy=HintPolicy.HLO, trip_count_threshold=32,
+                     name="hlo")
+
+
 @pytest.fixture(scope="module")
 def mini_experiment():
+    """429.mcf and 464.h264ref, baseline vs HLO hints, seed 7."""
     benches = [benchmark_by_name("429.mcf"), benchmark_by_name("464.h264ref")]
-    return Experiment(benches, seed=7)
+    run = run_suite(benches, [baseline_config(), HLO], seed=7)
+    return compare_configs(run, baseline_config().label, HLO.label)
 
 
 class TestExperiment:
@@ -73,42 +86,26 @@ class TestExperiment:
         assert percent_gain(100, 110) == pytest.approx(-9.0909, abs=1e-3)
 
     def test_compare_shapes(self, mini_experiment):
-        base = baseline_config()
-        hlo = CompilerConfig(hint_policy=HintPolicy.HLO,
-                             trip_count_threshold=32, name="hlo")
-        res = mini_experiment.compare(base, hlo)
+        res = mini_experiment
         assert set(res.gains) == {"429.mcf", "464.h264ref"}
         # mcf gains from HLO hints; h264ref is untouched at n=32
         assert res.gains["429.mcf"] > 5.0
         assert res.gains["464.h264ref"] == pytest.approx(0.0, abs=0.3)
         assert res.geomean_gain > 0
 
-    def test_caching_is_consistent(self, mini_experiment):
-        base = baseline_config()
-        r1 = mini_experiment.run_config(base)
-        r2 = mini_experiment.run_config(base)
-        assert r1["429.mcf"] is r2["429.mcf"]
-
     def test_serial_cycles_constant_across_configs(self, mini_experiment):
-        base = baseline_config()
-        hlo = CompilerConfig(hint_policy=HintPolicy.HLO, name="hlo2")
-        b = mini_experiment.run_config(base)["429.mcf"]
-        v = mini_experiment.run_config(hlo)["429.mcf"]
+        b = mini_experiment.baseline["429.mcf"]
+        v = mini_experiment.variant["429.mcf"]
         assert b.serial_cycles == v.serial_cycles
 
     def test_gain_table_formatting(self, mini_experiment):
-        base = baseline_config()
-        hlo = CompilerConfig(hint_policy=HintPolicy.HLO, name="hlo")
-        res = mini_experiment.compare(base, hlo)
-        table = format_gain_table({"hlo": res}, title="T")
+        table = format_gain_table({"hlo": mini_experiment}, title="T")
         assert "429.mcf" in table and "Geomean" in table and "%" in table
 
 
 class TestAccountingAndStatistics:
     def test_cycle_account(self, mini_experiment):
-        base = baseline_config()
-        hlo = CompilerConfig(hint_policy=HintPolicy.HLO, name="hlo")
-        res = mini_experiment.compare(base, hlo)
+        res = mini_experiment
         acc_b = accumulate_account(res.baseline, "baseline")
         acc_v = accumulate_account(res.variant, "hlo")
         assert acc_b.total > 0
@@ -122,9 +119,7 @@ class TestAccountingAndStatistics:
         assert "be_exe_bubble" in table and "ozq-full" in table
 
     def test_register_statistics(self, mini_experiment):
-        base = baseline_config()
-        hlo = CompilerConfig(hint_policy=HintPolicy.HLO, name="hlo")
-        res = mini_experiment.compare(base, hlo)
+        res = mini_experiment
         st_b = register_statistics(res.baseline, "baseline")
         st_v = register_statistics(res.variant, "hlo")
         from repro.ir.registers import RegClass
@@ -136,3 +131,17 @@ class TestAccountingAndStatistics:
         assert st_v.boosted_loads > 0
         table = format_register_table(st_b, st_v)
         assert "GR" in table and "spills" in table
+
+    def test_register_statistics_rejects_cache_served_results(self, tmp_path):
+        """A cache hit carries cycles but no loop artifacts; counting it
+        would report zero registers, attempts and pipelined loops."""
+        job = BenchmarkJob(
+            benchmark=benchmark_by_name("micro.stencil"),
+            config=baseline_config(),
+        )
+        cache = ArtifactCache(tmp_path)
+        run_job(job, cache)
+        hit = run_job(job, cache)
+        assert hit.cache_hit and hit.result.loops == []
+        with pytest.raises(HarnessError, match="micro.stencil"):
+            register_statistics({"micro.stencil": hit.result}, "baseline")

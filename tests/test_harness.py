@@ -13,7 +13,6 @@ import math
 import pytest
 
 from repro.config import CompilerConfig, HintPolicy, baseline_config
-from repro.core import Experiment
 from repro.errors import HarnessError
 from repro.harness import (
     ArtifactCache,
@@ -158,14 +157,12 @@ class TestCacheDeterminism:
 
 class TestPoolEquality:
     def test_parallel_matches_serial_on_four_benchmarks(self, tmp_path):
-        """workers=2 + cache reproduces the serial Experiment bit-for-bit."""
+        """workers=2 + cache reproduces a serial uncached run bit-for-bit."""
         suite = micro_suite()
         assert len(suite) == 4
         base, variant = baseline_config(), hlo_cfg()
 
-        exp = Experiment(suite, seed=2008)
-        serial = exp.compare(base, variant)
-
+        serial = run_suite(suite, [base, variant], seed=2008)
         run = run_suite(
             suite,
             [base, variant],
@@ -173,14 +170,12 @@ class TestPoolEquality:
             cache=tmp_path / "cache",
             seed=2008,
         )
-        pooled = compare_configs(run, base.label, variant.label)
 
-        assert pooled.gains == serial.gains
-        for name in serial.gains:
-            for label in (base.label, variant.label):
+        assert (compare_configs(run, base.label, variant.label).gains
+                == compare_configs(serial, base.label, variant.label).gains)
+        for label in (base.label, variant.label):
+            for name, theirs in serial.config(label).items():
                 mine = run.config(label)[name]
-                theirs = (serial.baseline if label == base.label
-                          else serial.variant)[name]
                 assert mine.total_cycles == theirs.total_cycles
                 assert mine.loop_cycles == theirs.loop_cycles
                 assert mine.serial_cycles == theirs.serial_cycles

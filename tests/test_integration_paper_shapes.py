@@ -18,12 +18,19 @@ paper reports:
 import pytest
 
 from repro.config import CompilerConfig, HintPolicy, baseline_config
-from repro.core import Experiment
+from repro.harness import compare_configs, run_suite
 from repro.workloads import benchmark_by_name
 
 
-def _exp(*names):
-    return Experiment([benchmark_by_name(n) for n in names], seed=7)
+def _grid(name, *configs):
+    """One benchmark under ``configs`` (seed 7)."""
+    return run_suite([benchmark_by_name(name)], list(configs), seed=7)
+
+
+def _gain(name, base, variant):
+    """``variant``'s percent gain over ``base`` on one benchmark."""
+    run = _grid(name, base, variant)
+    return compare_configs(run, base.label, variant.label).gains[name]
 
 
 def _l3(n, pgo=True):
@@ -42,13 +49,10 @@ def _hlo(pgo=True):
 
 class TestMcf:
     def test_hlo_gain_double_digit(self):
-        exp = _exp("429.mcf")
-        res = exp.compare(baseline_config(), _hlo())
-        assert res.gains["429.mcf"] > 8.0
+        assert _gain("429.mcf", baseline_config(), _hlo()) > 8.0
 
     def test_refresh_loop_pipelined_and_boosted(self):
-        exp = _exp("429.mcf")
-        run = exp.run_config(_hlo())["429.mcf"]
+        run = _grid("429.mcf", _hlo()).config(_hlo().label)["429.mcf"]
         refresh = run.loops[0].compiled
         assert refresh.pipelined
         stats = refresh.stats
@@ -57,9 +61,11 @@ class TestMcf:
 
     def test_loop_level_speedup_band(self):
         """Sec. 4.4 reports ~40% for the loop itself."""
-        exp = _exp("429.mcf")
-        base = exp.run_config(baseline_config())["429.mcf"]
-        var = exp.run_config(_hlo())["429.mcf"]
+        res = compare_configs(
+            _grid("429.mcf", baseline_config(), _hlo()),
+            baseline_config().label, _hlo().label,
+        )
+        base, var = res.baseline["429.mcf"], res.variant["429.mcf"]
         loop_gain = (
             base.loops[0].cycles / var.loops[0].cycles - 1.0
         ) * 100.0
@@ -68,80 +74,73 @@ class TestMcf:
 
 class TestH264ref:
     def test_regression_without_threshold(self):
-        exp = _exp("464.h264ref")
-        res = exp.compare(baseline_config(), _l3(0))
-        assert res.gains["464.h264ref"] < -10.0
+        assert _gain("464.h264ref", baseline_config(), _l3(0)) < -10.0
 
     def test_threshold_rescues(self):
-        exp = _exp("464.h264ref")
-        res = exp.compare(baseline_config(), _l3(32))
-        assert res.gains["464.h264ref"] == pytest.approx(0.0, abs=0.5)
+        gain = _gain("464.h264ref", baseline_config(), _l3(32))
+        assert gain == pytest.approx(0.0, abs=0.5)
 
     def test_hlo_hints_never_fire(self):
         """Linear L1-resident loads prefetch fine: no hints, no cost."""
-        exp = _exp("464.h264ref")
-        res = exp.compare(baseline_config(), _hlo())
-        assert res.gains["464.h264ref"] == pytest.approx(0.0, abs=0.5)
+        gain = _gain("464.h264ref", baseline_config(), _hlo())
+        assert gain == pytest.approx(0.0, abs=0.5)
 
 
 class TestMesa:
     def test_headroom_loss_persists_across_thresholds(self):
         """Trains at 154 iterations, runs at 8: every threshold <= 64
         passes, and the boosted stages hurt (Sec. 4.2)."""
-        exp = _exp("177.mesa")
-        for n in (0, 32, 64):
-            res = exp.compare(baseline_config(), _l3(n))
-            assert res.gains["177.mesa"] < -8.0, f"n={n}"
+        base = baseline_config()
+        variants = [_l3(n) for n in (0, 32, 64)]
+        run = _grid("177.mesa", base, *variants)
+        for cfg in variants:
+            res = compare_configs(run, base.label, cfg.label)
+            assert res.gains["177.mesa"] < -8.0, cfg.label
 
     def test_hlo_hints_remove_the_loss(self):
-        exp = _exp("177.mesa")
-        res = exp.compare(baseline_config(), _hlo())
-        assert res.gains["177.mesa"] == pytest.approx(0.0, abs=0.5)
+        gain = _gain("177.mesa", baseline_config(), _hlo())
+        assert gain == pytest.approx(0.0, abs=0.5)
 
 
 class TestGobmk:
     def test_with_pgo_not_pipelined_no_loss(self):
-        exp = _exp("445.gobmk")
-        res = exp.compare(baseline_config(), _hlo())
+        res = compare_configs(
+            _grid("445.gobmk", baseline_config(), _hlo()),
+            baseline_config().label, _hlo().label,
+        )
         assert res.gains["445.gobmk"] == pytest.approx(0.0, abs=0.5)
-        run = exp.run_config(_hlo())["445.gobmk"]
-        assert not run.loops[0].compiled.pipelined
+        assert not res.variant["445.gobmk"].loops[0].compiled.pipelined
 
     def test_without_pgo_loss_persists(self):
         """The Sec. 4.3 worst case: wrong trip count *and* wrong latency
         estimate."""
-        exp = _exp("445.gobmk")
         base = baseline_config(pgo=False)
-        res = exp.compare(base, _hlo(pgo=False))
+        res = compare_configs(
+            _grid("445.gobmk", base, _hlo(pgo=False)),
+            base.label, _hlo(pgo=False).label,
+        )
         assert res.gains["445.gobmk"] < -2.0
-        run = exp.run_config(_hlo(pgo=False))["445.gobmk"]
+        run = res.variant["445.gobmk"]
         assert run.loops[0].compiled.pipelined
         assert run.loops[0].compiled.stats.boosted_loads > 0
 
 
 class TestNamd:
     def test_fp_gather_gains(self):
-        exp = _exp("444.namd")
-        res = exp.compare(baseline_config(), _hlo())
-        assert res.gains["444.namd"] > 6.0
+        assert _gain("444.namd", baseline_config(), _hlo()) > 6.0
 
     def test_gain_survives_without_pgo(self):
         """Load latency information compensates for missing trip counts
         (Sec. 3.1, Fig. 9)."""
-        exp = _exp("444.namd")
-        res = exp.compare(baseline_config(pgo=False), _hlo(pgo=False))
-        assert res.gains["444.namd"] > 6.0
+        gain = _gain("444.namd", baseline_config(pgo=False), _hlo(pgo=False))
+        assert gain > 6.0
 
 
 class TestPrefetchInteraction:
     def test_disabling_prefetch_raises_headroom(self):
         """Sec. 4.2: without software prefetching the headroom grows."""
-        exp = _exp("462.libquantum")
-        with_pf = exp.compare(
-            baseline_config(), _l3(32)
-        ).gains["462.libquantum"]
-        exp2 = _exp("462.libquantum")
+        with_pf = _gain("462.libquantum", baseline_config(), _l3(32))
         no_pf_base = baseline_config(prefetch=False)
         no_pf_l3 = _l3(32).with_(prefetch=False, name="l3-nopf")
-        without_pf = exp2.compare(no_pf_base, no_pf_l3).gains["462.libquantum"]
+        without_pf = _gain("462.libquantum", no_pf_base, no_pf_l3)
         assert without_pf > with_pf

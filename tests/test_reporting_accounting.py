@@ -102,22 +102,21 @@ class TestGainTable:
 
 
 class TestExperimentDeterminism:
-    def test_same_seed_same_result(self):
+    @staticmethod
+    def _total(name, seed):
         from repro.config import baseline_config
-        from repro.core import Experiment
+        from repro.harness import BenchmarkJob, run_job
         from repro.workloads import benchmark_by_name
 
-        bench = benchmark_by_name("464.h264ref")
-        a = Experiment([bench], seed=3).run_benchmark(bench, baseline_config())
-        b = Experiment([bench], seed=3).run_benchmark(bench, baseline_config())
-        assert a.total_cycles == b.total_cycles
+        job = BenchmarkJob(
+            benchmark=benchmark_by_name(name),
+            config=baseline_config(),
+            seed=seed,
+        )
+        return run_job(job).result.total_cycles
+
+    def test_same_seed_same_result(self):
+        assert self._total("464.h264ref", 3) == self._total("464.h264ref", 3)
 
     def test_different_seed_different_streams(self):
-        from repro.config import baseline_config
-        from repro.core import Experiment
-        from repro.workloads import benchmark_by_name
-
-        bench = benchmark_by_name("429.mcf")
-        a = Experiment([bench], seed=3).run_benchmark(bench, baseline_config())
-        b = Experiment([bench], seed=4).run_benchmark(bench, baseline_config())
-        assert a.total_cycles != b.total_cycles
+        assert self._total("429.mcf", 3) != self._total("429.mcf", 4)

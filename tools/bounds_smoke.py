@@ -1,12 +1,10 @@
 """Ad-hoc validation: static bounds vs live simulation on all suites."""
 import sys
 
-import numpy as np
-
 from repro.analysis.perfmodel import build_perf_model
 from repro.config import CompilerConfig, HintPolicy, baseline_config
 from repro.core.compiler import LoopCompiler
-from repro.harness.jobs import _stable, collect_profile
+from repro.harness.jobs import collect_profile, sample_trips
 from repro.machine import ItaniumMachine
 from repro.sim.executor import simulate_loop
 from repro.sim.memory import MemorySystem
@@ -29,8 +27,7 @@ for bench in suites:
         for pos, lw in enumerate(bench.loops):
             loop, layout = lw.build()
             compiled = compiler.compile(loop, profile)
-            rng = np.random.default_rng(11 + pos * 977 + _stable(bench.name))
-            trips = lw.data.ref.sample(rng, lw.invocations)
+            trips = sample_trips(bench, pos, 11)
             memory = MemorySystem(machine.timings)
             sim = simulate_loop(
                 compiled.result, machine, layout, trips,

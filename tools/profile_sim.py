@@ -28,11 +28,9 @@ import io
 import pstats
 from pathlib import Path
 
-import numpy as np
-
 from repro.config import baseline_config
 from repro.core.compiler import LoopCompiler
-from repro.harness.jobs import _stable, collect_profile
+from repro.harness.jobs import collect_profile, sample_trips
 from repro.machine.itanium2 import ItaniumMachine
 from repro.sim.address import build_streams
 from repro.sim.core import prepare_execution
@@ -65,8 +63,7 @@ def _prepare(suite: str, seed: int, machine: ItaniumMachine) -> list[_Prepared]:
         for pos, lw in enumerate(bench.loops):
             loop, layout = lw.build()
             compiled = compiler.compile(loop, profile)
-            rng = np.random.default_rng(seed + pos * 977 + _stable(bench.name))
-            trips = [int(t) for t in lw.data.ref.sample(rng, lw.invocations)]
+            trips = [int(t) for t in sample_trips(bench, pos, seed)]
             stream_len = max(sum(trips), max(trips) if trips else 0)
             streams = build_streams(
                 compiled.result.loop, layout, stream_len, seed=seed + pos
