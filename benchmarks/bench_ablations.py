@@ -19,7 +19,7 @@ from repro.core.compiler import LoopCompiler
 from repro.hlo.profiles import collect_block_profile
 from repro.ir.memref import LatencyHint
 from repro.machine import BEST_CASE_TRANSLATION, ItaniumMachine
-from repro.sim import MemorySystem, simulate_loop
+from repro.sim import simulate_loop
 from repro.workloads import benchmark_by_name
 
 
@@ -81,7 +81,6 @@ def test_ablation_criticality_off(benchmark, record, machine):
         trips = lw.data.ref.sample(rng, 800)
         sim = simulate_loop(
             compiled.result, machine, layout, list(trips),
-            memory=MemorySystem(machine.timings),
         )
         results[label] = (compiled, sim)
 

@@ -25,7 +25,7 @@ from repro.hlo.profiles import TripDistribution, collect_block_profile
 from repro.hlo.sampling import collect_miss_profile, hints_from_miss_profile
 from repro.pipeliner.balanced import balanced_pipeline
 from repro.pipeliner.mve import generate_mve_kernel
-from repro.sim import MemorySystem, simulate_loop
+from repro.sim import simulate_loop
 from repro.workloads.loops import low_trip_linear, pointer_chase
 
 MB = 1 << 20
@@ -34,7 +34,7 @@ MB = 1 << 20
 def _simulate(machine, result, layout, trips, seed=7):
     return simulate_loop(
         result, machine, layout, trips,
-        memory=MemorySystem(machine.timings), seed=seed,
+        seed=seed,
     )
 
 
@@ -93,7 +93,6 @@ def test_ext_trip_count_versioning(benchmark, record, machine):
     )
     multi = simulate_versioned(
         versioned, machine, layout_v, trips,
-        memory=MemorySystem(machine.timings),
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     gain = 100 * (plain_sim.cycles / multi.cycles - 1)

@@ -13,8 +13,8 @@ from repro.config import baseline_config
 from repro.core.compiler import LoopCompiler
 from repro.ddg import build_ddg
 from repro.pipeliner import classify_loads, compute_bounds, modulo_schedule
-from repro.sim import MemorySystem, simulate_loop
-from repro.sim.cache import Cache, CacheConfig
+from repro.sim import simulate_loop
+from repro.sim.cache import Cache
 from repro.workloads.loops import stencil_fp, stream_int
 
 
@@ -55,9 +55,8 @@ def test_micro_full_compile(benchmark, machine):
     assert compiled.result.pipelined
 
 
-def test_micro_cache_access(benchmark):
-    cache = Cache(CacheConfig("b", size=256 * 1024, line_size=128,
-                              associativity=8))
+def test_micro_cache_access(benchmark, machine):
+    cache = Cache(machine.description.l2)
     addrs = np.random.default_rng(1).integers(0, 1 << 22, size=4096)
 
     def run():
@@ -77,10 +76,7 @@ def test_micro_simulated_iterations(benchmark, machine, big_loop):
     compiled = LoopCompiler(machine, base_cfg()).compile(loop)
 
     def run():
-        return simulate_loop(
-            compiled.result, machine, layout, [1000],
-            memory=MemorySystem(machine.timings),
-        )
+        return simulate_loop(compiled.result, machine, layout, [1000])
 
     result = benchmark(run)
     assert result.total_iterations == 1000

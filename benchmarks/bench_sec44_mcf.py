@@ -16,7 +16,7 @@ from benchmarks.conftest import base_cfg, hlo_cfg
 from repro.core.compiler import LoopCompiler
 from repro.hlo.profiles import collect_block_profile
 from repro.ir.memref import LatencyHint
-from repro.sim import MemorySystem, simulate_loop
+from repro.sim import simulate_loop
 from repro.workloads import benchmark_by_name
 
 
@@ -35,7 +35,6 @@ def mcf_runs(machine):
         trips = lw.data.ref.sample(rng, 1200)
         sim = simulate_loop(
             compiled.result, machine, layout, list(trips),
-            memory=MemorySystem(machine.timings),
         )
         runs[cfg.name or cfg.label] = (compiled, sim)
     return runs

@@ -15,7 +15,7 @@ import pytest
 from benchmarks.conftest import hlo_cfg
 from repro.harness.jobs import run_loops
 from repro.machine import ItaniumMachine
-from repro.sim import MemorySystem, simulate_loop
+from repro.sim import simulate_loop
 from repro.trace import NullSink, StallAttribution
 from repro.workloads import micro_suite
 
@@ -40,7 +40,7 @@ def _simulate_suite(cells, machine, sink):
     for result, layout in cells:
         simulate_loop(
             result, machine, layout, [400],
-            memory=MemorySystem(machine.timings), seed=11, sink=sink,
+            seed=11, sink=sink,
         )
 
 

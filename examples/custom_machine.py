@@ -16,7 +16,7 @@ Run:  python examples/custom_machine.py
 
 import numpy as np
 
-from repro import ItaniumMachine, MemorySystem, baseline_config, simulate_loop
+from repro import ItaniumMachine, baseline_config, simulate_loop
 from repro.config import CompilerConfig, HintPolicy
 from repro.core.compiler import LoopCompiler
 from repro.hlo.profiles import TripDistribution, collect_block_profile
@@ -32,7 +32,6 @@ def run(machine, config, trips, invocations=1200):
     sim = simulate_loop(
         compiled.result, machine, layout,
         list(trips.sample(rng, invocations)),
-        memory=MemorySystem(machine.timings),
     )
     return sim.cycles
 

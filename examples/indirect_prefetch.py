@@ -19,7 +19,7 @@ Run:  python examples/indirect_prefetch.py
 
 import numpy as np
 
-from repro import ItaniumMachine, MemorySystem, baseline_config, simulate_loop
+from repro import ItaniumMachine, baseline_config, simulate_loop
 from repro.config import CompilerConfig, HintPolicy
 from repro.core.compiler import LoopCompiler
 from repro.hlo.profiles import TripDistribution, collect_block_profile
@@ -66,8 +66,7 @@ def main() -> None:
 
         rng = np.random.default_rng(3)
         trips = data.sample(rng, 10)
-        sim = simulate_loop(compiled.result, machine, layout, list(trips),
-                            memory=MemorySystem(machine.timings))
+        sim = simulate_loop(compiled.result, machine, layout, list(trips))
         results[label] = sim.cycles
         print(f"  cycles: {sim.cycles:,.0f}  "
               f"(stalls {sim.counters.be_exe_bubble:,.0f})")

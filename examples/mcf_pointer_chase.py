@@ -19,7 +19,7 @@ Run:  python examples/mcf_pointer_chase.py
 
 import numpy as np
 
-from repro import ItaniumMachine, MemorySystem, baseline_config, simulate_loop
+from repro import ItaniumMachine, baseline_config, simulate_loop
 from repro.config import CompilerConfig, HintPolicy
 from repro.core.compiler import LoopCompiler
 from repro.hlo.profiles import TripDistribution, collect_block_profile
@@ -56,7 +56,6 @@ def main() -> None:
         trips = data.sample(rng, 1500)
         sim = simulate_loop(
             compiled.result, machine, layout, list(trips),
-            memory=MemorySystem(machine.timings),
         )
         runs[label] = sim
         print(f"simulated {sim.total_iterations} iterations over "

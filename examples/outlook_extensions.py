@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from repro import ItaniumMachine, MemorySystem, baseline_config, simulate_loop
+from repro import ItaniumMachine, baseline_config, simulate_loop
 from repro.config import CompilerConfig, HintPolicy
 from repro.core.compiler import LoopCompiler
 from repro.core.versioning import compile_versions, simulate_versioned
@@ -63,8 +63,7 @@ def sampling_demo(machine) -> None:
         ).compile(loop, pgo)),
     ):
         compiled = build()
-        sim = simulate_loop(compiled.result, machine, layout, trips,
-                            memory=MemorySystem(machine.timings))
+        sim = simulate_loop(compiled.result, machine, layout, trips)
         cycles[label] = sim.cycles
     gain = 100 * (cycles["baseline"] / cycles["sampled"] - 1)
     print(f"\nloop speedup from sampled hints: {gain:+.1f}%\n")
@@ -82,16 +81,14 @@ def versioning_demo(machine) -> None:
 
     loop, layout = factory()
     plain = LoopCompiler(machine, cfg).compile(loop, pgo)
-    plain_sim = simulate_loop(plain.result, machine, layout, trips,
-                              memory=MemorySystem(machine.timings))
+    plain_sim = simulate_loop(plain.result, machine, layout, trips)
     print(f"boosted-only build (trains at 154, runs at 8): "
           f"{plain_sim.cycles:,.0f} cycles, "
           f"{plain.stats.stage_count} stages")
 
     versioned, layout_v = compile_versions(factory, machine, cfg,
                                            profile=pgo, threshold=32)
-    multi = simulate_versioned(versioned, machine, layout_v, trips,
-                               memory=MemorySystem(machine.timings))
+    multi = simulate_versioned(versioned, machine, layout_v, trips)
     print(f"versioned build (runtime trip-count check @ "
           f"{versioned.threshold}): {multi.cycles:,.0f} cycles")
     print(f"regression recovered: "

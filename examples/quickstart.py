@@ -13,7 +13,6 @@ from repro import (
     HintPolicy,
     ItaniumMachine,
     LoopCompiler,
-    MemorySystem,
     StreamSpec,
     baseline_config,
     parse_loop,
@@ -44,7 +43,6 @@ def compile_and_run(machine, config):
         machine,
         LAYOUT,
         trip_counts=[2000] * 3,
-        memory=MemorySystem(machine.timings),
     )
     return compiled, sim
 

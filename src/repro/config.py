@@ -52,29 +52,15 @@ class CompilerConfig:
     prefetch: bool = True
     #: master switch for latency-tolerant pipelining
     latency_tolerant: bool = True
-    #: criticality comparison point: "min_ii" or "res_ii" (Sec. 3.3)
-    criticality_threshold: str = "min_ii"
     #: ablation switch: when False, hinted loads on recurrence cycles are
     #: boosted too, demonstrating the II growth the criticality analysis
     #: exists to prevent (Sec. 3.3)
     respect_criticality: bool = True
-    #: scheduling budget multiplier for iterative modulo scheduling
-    budget_ratio: int = 10
-    #: assumed trip count when nothing is known
-    default_trip_estimate: float = 100.0
-    #: assumed average memory latency the prefetcher tries to cover
-    prefetch_target_latency: int = 180
     name: str = ""
 
     def __post_init__(self) -> None:
         if self.trip_count_threshold < 0:
             raise ConfigError("trip_count_threshold must be >= 0")
-        if self.criticality_threshold not in ("min_ii", "res_ii"):
-            raise ConfigError(
-                f"bad criticality_threshold {self.criticality_threshold!r}"
-            )
-        if self.budget_ratio < 1:
-            raise ConfigError("budget_ratio must be >= 1")
 
     @property
     def label(self) -> str:

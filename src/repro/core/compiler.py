@@ -83,7 +83,7 @@ class LoopCompiler:
         work = copy.deepcopy(loop)
         plan = run_hlo(work, self.machine, self.config, profile)
 
-        trips = work.average_trips(self.config.default_trip_estimate)
+        trips = work.average_trips()
         if trips >= MIN_PIPELINE_TRIPS:
             # counted loops pipeline with br.ctop; while loops with
             # br.wtop and speculative fill (the mcf refresh_potential

@@ -21,17 +21,15 @@ from repro.core.compiler import CompiledLoop, LoopCompiler
 from repro.hlo.profiles import BlockProfile
 from repro.ir.loop import Loop
 from repro.machine.itanium2 import ItaniumMachine
-from repro.sim.address import AddressMap, StreamSpec, build_streams
-from repro.sim.core import prepare_execution, run_iterations
+from repro.sim.address import StreamSpec
 from repro.sim.counters import PerfCounters
 from repro.sim.executor import (
-    FLUSH_CYCLES,
-    FRONTEND_CYCLES,
     LoopRunResult,
-    RSE_CYCLES_PER_REG,
+    _invocation_overhead,
+    _lower,
     _prewarm_resident_regions,
+    _run_invocation,
 )
-from repro.sim.memory import MemorySystem
 
 #: cycles of the runtime trip-count test + branch selecting the version
 VERSION_CHECK_CYCLES = 2.0
@@ -89,61 +87,40 @@ def simulate_versioned(
     machine: ItaniumMachine,
     layout: dict[str, StreamSpec],
     trip_counts: list[int] | np.ndarray,
-    memory: MemorySystem | None = None,
     seed: int = 11,
 ) -> LoopRunResult:
     """Execute a versioned loop, switching per invocation at run time.
 
     Both versions share the cache and TLB state, exactly as the two
-    kernels of one function would.  Every invocation pays a small
-    version-check cost on top of the usual loop overheads.
+    kernels of one function would.  Every invocation pays the version's
+    usual loop overheads (those of :func:`~repro.sim.executor.simulate_loop`)
+    plus a small version-check cost, so a versioned loop that always
+    picks one version costs that version's plain run plus the checks.
     """
-    memory = memory or machine.memory_system()
+    memory = machine.memory_system()
     counters = PerfCounters()
     trips = [int(t) for t in trip_counts]
-    total_iters = sum(trips)
-    stream_len = max(total_iters, max(trips) if trips else 0)
-
-    versions = {}
-    for name, compiled in (("boosted", versioned.boosted),
-                           ("fallback", versioned.fallback)):
-        result = compiled.result
-        setup = prepare_execution(result, machine)
-        streams = build_streams(
-            result.loop, layout, stream_len, seed=seed,
-            address_map=AddressMap(),
-        )
-        versions[name] = (compiled, setup, streams)
-
+    boosted = _lower(versioned.boosted.result, machine, layout, trips, seed)
+    fallback = _lower(versioned.fallback.result, machine, layout, trips, seed)
     _prewarm_resident_regions(
-        versioned.boosted.result, layout, versions["boosted"][2], memory
+        versioned.boosted.result, layout, boosted[1], memory
     )
 
-    reuse_spaces = {s for s, spec in layout.items() if spec.reuse}
     cycle = 0.0
     running_base = 0
     for n in trips:
-        name = "boosted" if n >= versioned.threshold else "fallback"
-        compiled, setup, streams = versions[name]
-        static = compiled.result.static
-        stacked = static.stacked_frame if static is not None else 8
-
-        counters.be_rse_bubble += stacked * RSE_CYCLES_PER_REG
-        counters.be_flush_bubble += FLUSH_CYCLES
-        counters.back_end_bubble_fe += FRONTEND_CYCLES
-        counters.unstalled += VERSION_CHECK_CYCLES
+        compiled = versioned.pick(n)
+        setup, streams, restart_uids = (
+            boosted if compiled is versioned.boosted else fallback
+        )
         cycle += (
-            stacked * RSE_CYCLES_PER_REG
-            + FLUSH_CYCLES
-            + FRONTEND_CYCLES
+            _invocation_overhead(compiled.result, counters)
             + VERSION_CHECK_CYCLES
         )
-
-        base = 0 if reuse_spaces else running_base
-        cycle = run_iterations(
-            setup, streams, base, n, memory, machine.ozq_capacity,
-            counters, cycle, queue=machine.queue,
-            scoreboard=machine.scoreboard,
+        counters.unstalled += VERSION_CHECK_CYCLES
+        cycle = _run_invocation(
+            setup, streams, restart_uids, running_base, n, memory, machine,
+            counters, cycle,
         )
         running_base += n
         counters.invocations += 1
@@ -153,5 +130,5 @@ def simulate_versioned(
         cycles=cycle,
         counters=counters,
         invocations=len(trips),
-        total_iterations=total_iters,
+        total_iterations=sum(trips),
     )

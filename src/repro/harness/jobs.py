@@ -194,14 +194,12 @@ def run_loops(
 
             reports.append(verify_compiled(compiled))
         trips = sample_trips(bench, pos, seed)
-        memory = machine.memory_system()
         sink = StallAttribution() if trace else None
         sim = simulate_loop(
             compiled.result,
             machine,
             layout,
             trips,
-            memory=memory,
             seed=seed + pos,
             sink=sink,
         )
@@ -327,7 +325,14 @@ def describe_benchmark(bench: Benchmark) -> dict:
 #: config fields that no longer exist, at the one value every cached run
 #: had; restored into the key material so every loop-run cache key
 #: minted before their removal still addresses its entry
-RETIRED_CONFIG_FIELDS = {"scheduler": "heuristic", "optimal_budget": 200_000}
+RETIRED_CONFIG_FIELDS = {
+    "scheduler": "heuristic",
+    "optimal_budget": 200_000,
+    "criticality_threshold": "min_ii",
+    "budget_ratio": 10,
+    "default_trip_estimate": 100.0,
+    "prefetch_target_latency": 180,
+}
 
 
 def describe_config(config: CompilerConfig) -> dict:

@@ -26,11 +26,13 @@ from repro.config import CompilerConfig
 from repro.hlo.locality import leading_references, line_groups
 from repro.hlo.tripcount import prefetch_lookahead_trips
 from repro.ir.instructions import Instruction
-from repro.ir.loop import Loop, TripCountInfo
+from repro.ir.loop import DEFAULT_TRIP_ESTIMATE, Loop, TripCountInfo
 from repro.ir.memref import AccessPattern, LatencyHint, MemRef
 from repro.ir.opcodes import opcode
 from repro.machine.itanium2 import ItaniumMachine
 
+#: assumed average memory latency the prefetcher tries to cover
+PREFETCH_TARGET_LATENCY = 180
 #: distance cap for symbolic-stride references (rule 2a): each prefetch may
 #: touch a new page, so the compiler keeps few pages in flight
 SYMBOLIC_STRIDE_DISTANCE_CAP = 2
@@ -93,11 +95,8 @@ def plan_prefetches(
     groups = line_groups(loop)
 
     ii_est = max(1, machine.resources.resource_ii(loop.body))
-    target_lat = config.prefetch_target_latency
-    optimal = max(1, math.ceil(target_lat / ii_est))
-    lookahead = prefetch_lookahead_trips(
-        trip_info, config.default_trip_estimate
-    )
+    optimal = max(1, math.ceil(PREFETCH_TARGET_LATENCY / ii_est))
+    lookahead = prefetch_lookahead_trips(trip_info, DEFAULT_TRIP_ESTIMATE)
 
     # rule 3 precondition: many integer references that will miss L1
     int_streams = [
@@ -149,7 +148,7 @@ def plan_prefetches(
         decision.emitted = True
         decision.distance = distance
         covered = distance * ii_est
-        decision.efficiency = min(1.0, covered / target_lat)
+        decision.efficiency = min(1.0, covered / PREFETCH_TARGET_LATENCY)
 
     return plan
 

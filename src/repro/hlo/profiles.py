@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.ir.loop import Loop, TripCountInfo, TripCountSource
+from repro.ir.loop import (
+    DEFAULT_TRIP_ESTIMATE,
+    Loop,
+    TripCountInfo,
+    TripCountSource,
+)
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,9 @@ def collect_block_profile(
     return profile
 
 
-def static_profile_estimate(loop: Loop, default: float = 100.0) -> TripCountInfo:
+def static_profile_estimate(
+    loop: Loop, default: float = DEFAULT_TRIP_ESTIMATE
+) -> TripCountInfo:
     """The no-PGO static profile heuristic (Sec. 4.3).
 
     Static array bounds cap the estimate; otherwise a generic default is

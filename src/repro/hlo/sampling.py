@@ -110,8 +110,8 @@ class _SamplingMemory(MemorySystem):
     lookup per memory operation, immediately before the memory call).
     """
 
-    def __init__(self, timings, profile: MissProfile) -> None:
-        super().__init__(timings)
+    def __init__(self, description, profile: MissProfile) -> None:
+        super().__init__(description)
         self.profile = profile
         self.current_ref: MemRef | None = None
 
@@ -165,7 +165,7 @@ def collect_miss_profile(
     result = compiled.result
 
     profile = MissProfile()
-    memory = _SamplingMemory(machine.timings, profile)
+    memory = _SamplingMemory(machine.description, profile)
     uid_to_ref = {
         inst.memref.uid: inst.memref
         for inst in result.loop.body
@@ -182,8 +182,7 @@ def collect_miss_profile(
     cycle = 0.0
     for n in trip_counts:
         cycle = run_iterations(
-            setup, tagged, base, n, memory, machine.ozq_capacity,
-            counters, cycle,
+            setup, tagged, base, n, memory, machine, counters, cycle,
         )
         base += n
     return profile

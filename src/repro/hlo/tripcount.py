@@ -33,7 +33,7 @@ def estimate_trip_count(
     if config.pgo and loop.trip_count.source is TripCountSource.PGO:
         # the loop was built with PGO-quality information already attached
         return loop.trip_count
-    return static_profile_estimate(loop, default=config.default_trip_estimate)
+    return static_profile_estimate(loop)
 
 
 def prefetch_lookahead_trips(info: TripCountInfo, default: float) -> float:

@@ -16,6 +16,9 @@ from repro.ir.instructions import Instruction
 from repro.ir.memref import MemRef
 from repro.ir.registers import Reg
 
+#: assumed trip count when nothing is known
+DEFAULT_TRIP_ESTIMATE = 100.0
+
 
 class TripCountSource(enum.Enum):
     """Where a trip-count estimate came from (Sec. 3.1/3.2).
@@ -154,7 +157,7 @@ class Loop:
         )
         return clone
 
-    def average_trips(self, default: float = 100.0) -> float:
+    def average_trips(self, default: float = DEFAULT_TRIP_ESTIMATE) -> float:
         """Best-effort average trip count for cost heuristics."""
         return self.trip_count.effective_estimate(default)
 

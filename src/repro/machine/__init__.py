@@ -13,7 +13,7 @@ scoreboard policy; the named registry (``machine_names`` /
 chosen (CLI ``--machine``, harness jobs, service requests).
 """
 
-from repro.machine.resources import ResourceModel, UNIT_CAPACITIES
+from repro.machine.resources import ResourceModel
 from repro.machine.hints import HintTranslation, TYPICAL_TRANSLATION, BEST_CASE_TRANSLATION
 from repro.machine.description import (
     BankGeometry,
@@ -31,7 +31,6 @@ from repro.machine.itanium2 import ItaniumMachine, Machine, build_machine
 
 __all__ = [
     "ResourceModel",
-    "UNIT_CAPACITIES",
     "HintTranslation",
     "TYPICAL_TRANSLATION",
     "BEST_CASE_TRANSLATION",

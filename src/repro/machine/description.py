@@ -69,12 +69,22 @@ class MemoryTimings:
 
 @dataclass(frozen=True)
 class CacheLevel:
-    """Geometry of one cache level (mirrors ``sim.cache.CacheConfig``)."""
+    """Geometry of one set-associative cache level."""
 
     name: str
     size: int
     line_size: int
     associativity: int
+
+    def __post_init__(self) -> None:
+        if self.size % (self.line_size * self.associativity):
+            raise MachineModelError(
+                f"{self.name}: size not divisible into sets"
+            )
+
+    @property
+    def num_sets(self) -> int:
+        return self.size // (self.line_size * self.associativity)
 
 
 @dataclass(frozen=True)

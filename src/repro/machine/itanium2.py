@@ -11,17 +11,18 @@ specified by HLO hints."
 The class keeps its historical name — ``ItaniumMachine()`` with no
 arguments is still the paper's Dual-Core Itanium 2, bit-identical to the
 pre-registry model — but any registered :class:`MachineDescription` can be
-realised through :func:`build_machine`, which derives the resource model,
-timings, hierarchy geometry, queue discipline, and scoreboard policy from
-the description instead of module constants.
+realised through :func:`build_machine`.  The description is the machine's
+only state besides its register files: the resource model, timings, hint
+translation, OzQ depth, hierarchy geometry, queue discipline and
+scoreboard policy are all read from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.ir.instructions import Instruction
-from repro.ir.memref import LatencyHint
 from repro.ir.opcodes import UnitClass
 from repro.ir.registers import Reg, RegClass, RegisterFile, itanium_register_files
 from repro.machine.description import (
@@ -32,7 +33,7 @@ from repro.machine.description import (
     ScoreboardPolicy,
     machine_description,
 )
-from repro.machine.hints import HintTranslation, TYPICAL_TRANSLATION
+from repro.machine.hints import HintTranslation
 from repro.machine.resources import ResourceModel
 
 __all__ = [
@@ -47,18 +48,38 @@ __all__ = [
 class ItaniumMachine:
     """Everything the compiler and the simulator know about the target."""
 
-    resources: ResourceModel = field(default_factory=ResourceModel)
-    timings: MemoryTimings = field(default_factory=MemoryTimings)
-    translation: HintTranslation = TYPICAL_TRANSLATION
+    #: the declarative source of every machine fact below
+    description: MachineDescription = ITANIUM2
+    #: the one fact the description does not carry
     register_files: dict[RegClass, RegisterFile] = field(
         default_factory=itanium_register_files
     )
-    #: outstanding memory requests the OzQ sustains without stalling
-    #: ("At least 48 outstanding requests can be active throughout the
-    #: memory hierarchy without stalling the execution pipeline", Sec. 2)
-    ozq_capacity: int = 48
-    #: the declarative source this machine was realised from
-    description: MachineDescription = ITANIUM2
+
+    # --- description views -------------------------------------------------
+    @cached_property
+    def resources(self) -> ResourceModel:
+        """Issue capacities from the description's port map (cached: the
+        scheduler reads it for every op it places)."""
+        d = self.description
+        return ResourceModel(
+            capacities={UnitClass[unit]: cap for unit, cap in d.ports},
+            issue_width=d.issue_width,
+        )
+
+    @property
+    def timings(self) -> MemoryTimings:
+        return self.description.timings
+
+    @property
+    def translation(self) -> HintTranslation:
+        return self.description.translation
+
+    @property
+    def ozq_capacity(self) -> int:
+        """Outstanding memory requests the queue sustains without stalling
+        ("At least 48 outstanding requests can be active throughout the
+        memory hierarchy without stalling the execution pipeline", Sec. 2)."""
+        return self.description.queue.capacity
 
     # --- identity ----------------------------------------------------------
     @property
@@ -120,62 +141,26 @@ class ItaniumMachine:
 
     # --- derived structure -------------------------------------------------
     def memory_system(self):
-        """A fresh :class:`~repro.sim.memory.MemorySystem` matching the
-        description's hierarchy geometry (caches, TLB, L2 banking)."""
-        from repro.sim.cache import CacheConfig
+        """A fresh :class:`~repro.sim.memory.MemorySystem` built from the
+        description (caches, TLB, L2 banking, timings)."""
         from repro.sim.memory import MemorySystem
-        from repro.sim.tlb import TLB
 
-        d = self.description
-
-        def _config(level) -> CacheConfig:
-            return CacheConfig(
-                level.name, size=level.size, line_size=level.line_size,
-                associativity=level.associativity,
-            )
-
-        return MemorySystem(
-            self.timings,
-            l1d=_config(d.l1d),
-            l2=_config(d.l2),
-            l3=_config(d.l3),
-            tlb=TLB(
-                entries=d.tlb.entries,
-                page_size=d.tlb.page_size,
-                miss_penalty=d.tlb.miss_penalty,
-            ),
-            bank_conflicts=d.banks.enabled,
-            banks=d.banks,
-        )
+        return MemorySystem(self.description)
 
     def with_translation(self, translation: HintTranslation) -> "ItaniumMachine":
         """A copy of this machine using a different hint translation."""
-        return ItaniumMachine(
-            resources=self.resources,
-            timings=self.timings,
-            translation=translation,
-            register_files=self.register_files,
-            ozq_capacity=self.ozq_capacity,
-            description=self.description.with_(translation=translation),
-        )
+        return self._with(translation=translation)
 
     def with_ozq_capacity(self, capacity: int) -> "ItaniumMachine":
         """A copy with a different OzQ depth (for MLP ablations)."""
-        description = self.description.with_(
-            queue=QueueDiscipline(
-                kind=self.description.queue.kind,
-                capacity=capacity,
-                runahead=self.description.queue.runahead,
-                replay_penalty=self.description.queue.replay_penalty,
-            )
+        return self._with(
+            queue=replace(self.description.queue, capacity=capacity)
         )
+
+    def _with(self, **changes) -> "ItaniumMachine":
         return ItaniumMachine(
-            resources=self.resources,
-            timings=self.timings,
-            translation=self.translation,
+            description=self.description.with_(**changes),
             register_files=self.register_files,
-            ozq_capacity=capacity,
-            description=description,
         )
 
     def rotating_capacity(self, rclass: RegClass) -> int:
@@ -191,20 +176,6 @@ def build_machine(source: str | MachineDescription) -> ItaniumMachine:
 
     Unknown names raise :class:`~repro.errors.MachineModelError`.
     """
-    if isinstance(source, MachineDescription):
-        description = source
-    else:
-        description = machine_description(source)
-    capacities = {
-        UnitClass[unit]: capacity for unit, capacity in description.ports
-    }
-    return ItaniumMachine(
-        resources=ResourceModel(
-            capacities=capacities, issue_width=description.issue_width
-        ),
-        timings=description.timings,
-        translation=description.translation,
-        register_files=itanium_register_files(),
-        ozq_capacity=description.queue.capacity,
-        description=description,
-    )
+    if not isinstance(source, MachineDescription):
+        source = machine_description(source)
+    return ItaniumMachine(description=source)

@@ -1,41 +1,31 @@
 """Execution resources of an Itanium-2-class core.
 
-The model is a per-cycle capacity table: two memory ports, two integer
-ports, two FP ports, three branch ports, and a total issue width of six.
-``A``-type operations (simple integer ALU) may execute on either a memory
-or an integer port, which both the Resource II bound and the modulo
-reservation table honour.
+The model is a per-cycle capacity table built from a machine
+description's port map and issue width (the Dual-Core Itanium 2 has two
+memory ports, two integer ports, two FP ports, three branch ports, and
+a total issue width of six).  ``A``-type operations (simple integer ALU)
+may execute on either a memory or an integer port, which both the
+Resource II bound and the modulo reservation table honour.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import MachineModelError
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import UnitClass
-
-#: Per-cycle issue capacity of each unit class.
-UNIT_CAPACITIES: dict[UnitClass, int] = {
-    UnitClass.M: 2,
-    UnitClass.I: 2,
-    UnitClass.F: 2,
-    UnitClass.B: 3,
-}
-
-#: Total instructions issued per cycle.
-ISSUE_WIDTH = 6
 
 
 @dataclass(frozen=True)
 class ResourceModel:
     """Issue capacities plus the Resource II lower bound."""
 
-    capacities: dict[UnitClass, int] = field(
-        default_factory=lambda: dict(UNIT_CAPACITIES)
-    )
-    issue_width: int = ISSUE_WIDTH
+    #: per-cycle issue capacity of each unit class
+    capacities: dict[UnitClass, int]
+    #: total instructions issued per cycle
+    issue_width: int
 
     def capacity(self, unit: UnitClass) -> int:
         if unit is UnitClass.A:

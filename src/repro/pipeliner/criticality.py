@@ -24,6 +24,10 @@ from repro.ir.memref import LatencyHint
 from repro.machine.itanium2 import ItaniumMachine
 from repro.pipeliner.bounds import IIBounds
 
+#: what "would likely lead to an overall II increase" compares against
+#: by default (Sec. 3.3); see :func:`classify_loads`
+CRITICALITY_THRESHOLD = "min_ii"
+
 
 @dataclass
 class Criticality:
@@ -75,7 +79,7 @@ def classify_loads(
     ddg: DDG,
     machine: ItaniumMachine,
     bounds: IIBounds,
-    threshold: str = "min_ii",
+    threshold: str = CRITICALITY_THRESHOLD,
 ) -> Criticality:
     """Run the paper's cycle-wise criticality analysis.
 

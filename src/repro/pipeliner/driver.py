@@ -72,9 +72,7 @@ def resolve_criticality(
     (:func:`repro.pipeliner.optimal.optimal_pipeline_loop`) so that
     heuristic-vs-optimal gaps measure the scheduler and nothing else.
     """
-    criticality = classify_loads(
-        ddg, machine, bounds, threshold=config.criticality_threshold
-    )
+    criticality = classify_loads(ddg, machine, bounds)
     if not config.respect_criticality:
         # ablation: boost every hinted load, recurrence cycles included
         from repro.ir.memref import LatencyHint
@@ -92,7 +90,7 @@ def resolve_criticality(
     if not config.latency_tolerant:
         criticality = criticality.demote_all()
     elif config.trip_count_threshold > 0:
-        trips = loop.average_trips(config.default_trip_estimate)
+        trips = loop.average_trips()
         if trips < config.trip_count_threshold:
             criticality = criticality.demote_policy_hints()
     return criticality
@@ -122,9 +120,7 @@ def pipeline_loop(
             tries.append(criticality.demote_all())
         for try_no, crit in enumerate(tries):
             attempts += 1
-            schedule = modulo_schedule(
-                ddg, machine, ii, crit, budget_ratio=config.budget_ratio
-            )
+            schedule = modulo_schedule(ddg, machine, ii, crit)
             if schedule is None:
                 continue
             try:

@@ -463,9 +463,7 @@ def optimal_pipeline_loop(
                 # exact schedule missing (budget) or unallocatable: the
                 # heuristic retry at this same (II, policy) guarantees
                 # we never do worse than pipeline_loop
-                fallback = modulo_schedule(
-                    ddg, machine, ii, crit, budget_ratio=config.budget_ratio
-                )
+                fallback = modulo_schedule(ddg, machine, ii, crit)
                 if fallback is not None:
                     allocated = _allocate(fallback, machine)
                     if allocated is not None:

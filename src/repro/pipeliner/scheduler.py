@@ -26,6 +26,9 @@ from repro.pipeliner.criticality import Criticality
 from repro.pipeliner.mrt import ModuloReservationTable
 from repro.pipeliner.schedule import Schedule
 
+#: placement budget of iterative modulo scheduling, per DDG node
+BUDGET_RATIO = 10
+
 
 def _blocking_occupants(
     mrt: ModuloReservationTable, inst: Instruction, time: int
@@ -49,7 +52,6 @@ def modulo_schedule(
     machine: ItaniumMachine,
     ii: int,
     criticality: Criticality,
-    budget_ratio: int = 10,
 ) -> Schedule | None:
     """Attempt to schedule ``ddg`` at initiation interval ``ii``.
 
@@ -70,7 +72,7 @@ def modulo_schedule(
     times: dict[Instruction, int] = {}
     prev_time: dict[Instruction, int] = {}
     unscheduled: set[Instruction] = set(ddg.nodes)
-    budget = max(budget_ratio * len(ddg.nodes), 32)
+    budget = max(BUDGET_RATIO * len(ddg.nodes), 32)
     attempts = 0
 
     def unschedule(inst: Instruction) -> None:

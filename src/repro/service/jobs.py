@@ -188,7 +188,6 @@ def _run_simulate(canonical: dict, cache_root: str | None) -> dict:
         machine,
         layout_for(canonical, loop),
         [canonical["trips"]] * canonical["invocations"],
-        memory=machine.memory_system(),
         seed=canonical["seed"],
     )
     return {

@@ -16,7 +16,7 @@ paper's optimization exploits and stresses:
   the prefetcher limits distances for page-hopping references (Sec. 3.2).
 """
 
-from repro.sim.cache import Cache, CacheConfig
+from repro.sim.cache import Cache
 from repro.sim.tlb import TLB
 from repro.sim.memory import MemorySystem, AccessResult
 from repro.sim.counters import PerfCounters
@@ -31,7 +31,6 @@ from repro.sim.executor import LoopRunResult, simulate_loop
 
 __all__ = [
     "Cache",
-    "CacheConfig",
     "TLB",
     "MemorySystem",
     "AccessResult",

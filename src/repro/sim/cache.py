@@ -9,36 +9,20 @@ prefetched lines as magically present.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Geometry of one cache level."""
-
-    name: str
-    size: int
-    line_size: int
-    associativity: int
-
-    def __post_init__(self) -> None:
-        if self.size % (self.line_size * self.associativity):
-            raise ValueError(f"{self.name}: size not divisible into sets")
-
-    @property
-    def num_sets(self) -> int:
-        return self.size // (self.line_size * self.associativity)
+from repro.machine.description import CacheLevel
 
 
 class Cache:
-    """One level of the hierarchy."""
+    """One level of the hierarchy, shaped by a :class:`CacheLevel`."""
 
-    def __init__(self, config: CacheConfig) -> None:
-        self.config = config
+    def __init__(self, geometry: CacheLevel) -> None:
+        self.geometry = geometry
         # the geometry is fixed for the cache's life; the memory walk
         # reads these once per access instead of recomputing num_sets
-        self._line_size = config.line_size
-        self._num_sets = config.num_sets
+        self._line_size = geometry.line_size
+        self._num_sets = geometry.num_sets
+        self._ways = geometry.associativity
         self._sets: dict[int, OrderedDict[int, float]] = {}
         self.hits = 0
         self.misses = 0
@@ -75,7 +59,7 @@ class Cache:
             ways.move_to_end(tag)
             ways[tag] = min(ways[tag], ready_time)
             return
-        if len(ways) >= self.config.associativity:
+        if len(ways) >= self._ways:
             ways.popitem(last=False)
         ways[tag] = ready_time
 
@@ -90,5 +74,5 @@ class Cache:
         self.misses = 0
 
     def __repr__(self) -> str:
-        c = self.config
-        return f"Cache({c.name}: {c.size>>10}KB {c.associativity}-way)"
+        g = self.geometry
+        return f"Cache({g.name}: {g.size>>10}KB {g.associativity}-way)"

@@ -159,12 +159,10 @@ def run_iterations(
     stream_base: int,
     n: int,
     memory: MemorySystem,
-    ozq_capacity: int,
+    machine,
     counters: PerfCounters,
     start_cycle: float = 0.0,
     sink=None,
-    queue=None,
-    scoreboard=None,
 ) -> float:
     """Execute ``n`` source iterations; returns the finish cycle.
 
@@ -174,12 +172,11 @@ def run_iterations(
     interest flags are hoisted into locals here, so a ``None`` sink (or
     one that wants nothing) costs a few branch tests per op.
 
-    ``queue`` and ``scoreboard`` are the machine's
+    ``machine`` supplies the OzQ depth and the
     :class:`~repro.machine.description.QueueDiscipline` and
-    :class:`~repro.machine.description.ScoreboardPolicy`; ``None`` (or
-    the Itanium defaults) selects the classic OzQ + stall-on-use
-    semantics, whose arithmetic is untouched by the other policies'
-    guards.
+    :class:`~repro.machine.description.ScoreboardPolicy`; the Itanium
+    defaults select the classic OzQ + stall-on-use semantics, whose
+    arithmetic is untouched by the other policies' guards.
     """
     if n <= 0:
         return start_cycle
@@ -187,12 +184,15 @@ def run_iterations(
     ops = setup.ops
     kernel_iters = n + setup.stage_count - 1
 
+    ozq_capacity = machine.ozq_capacity
     # machine policies beyond the classic in-order OzQ core; the guards
     # below are inactive (and cost one falsy test) for itanium2
+    scoreboard = machine.scoreboard
     window = 0.0
-    if scoreboard is not None and scoreboard.kind == "load-delay-tracking":
+    if scoreboard.kind == "load-delay-tracking":
         window = float(scoreboard.tracking_window)
-    slsq = queue is not None and queue.kind == "slsq"
+    queue = machine.queue
+    slsq = queue.kind == "slsq"
     if slsq:
         runahead = float(queue.runahead)
         replay_penalty = float(queue.replay_penalty)

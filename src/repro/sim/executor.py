@@ -16,7 +16,7 @@ warm, exactly the situation where boosting latencies buys nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ def simulate_loop(
     machine: ItaniumMachine,
     layout: dict[str, StreamSpec],
     trip_counts: list[int] | np.ndarray,
-    memory: MemorySystem | None = None,
     seed: int = 11,
     address_map: AddressMap | None = None,
     counters: PerfCounters | None = None,
@@ -65,74 +64,32 @@ def simulate_loop(
 ) -> LoopRunResult:
     """Run a compiled loop for the given per-invocation trip counts.
 
-    ``sink`` (a :class:`repro.trace.events.TraceSink`) receives the
-    structured event stream; it is attached to the memory system only
-    after the cache pre-warm so one-time warm-up fills stay out of
-    traces.  ``sink=None`` keeps the run event-free and bit-identical
-    to an untraced one.
+    The run starts from a fresh ``machine.memory_system()``.  ``sink``
+    (a :class:`repro.trace.events.TraceSink`) receives the structured
+    event stream; it is attached to the memory system only after the
+    cache pre-warm so one-time warm-up fills stay out of traces.
+    ``sink=None`` keeps the run event-free and bit-identical to an
+    untraced one.
     """
     counters = counters if counters is not None else PerfCounters()
-    memory = memory or machine.memory_system()
-    setup = prepare_execution(result, machine)
-
+    memory = machine.memory_system()
     trips = [int(t) for t in trip_counts]
     total_iters = sum(trips)
-    reuse_spaces = {s for s, spec in layout.items() if spec.reuse}
-    # streams for reused spaces are indexed from 0 each invocation, so the
-    # array only needs max(trips); streaming spaces need the running total
-    max_trips = max(trips) if trips else 0
-    stream_len = max(total_iters, max_trips)
-    streams = build_streams(
-        result.loop,
-        layout,
-        stream_len,
-        seed=seed,
-        address_map=address_map,
+    setup, streams, restart_uids = _lower(
+        result, machine, layout, trips, seed, address_map
     )
-    # split shared stream table into reuse (restarting) vs streaming refs
-    restart_uids = {
-        uid
-        for inst in result.loop.body
-        if inst.memref is not None
-        for uid in [inst.memref.uid]
-        if inst.memref.space in reuse_spaces
-    }
 
     _prewarm_resident_regions(result, layout, streams, memory)
     if sink is not None:
         memory.sink = sink
 
-    spills = result.static.spills if result.static is not None else 0
-    stacked = result.static.stacked_frame if result.static is not None else 8
-
     cycle = 0.0
     running_base = 0
     for n in trips:
-        # per-invocation fixed costs
-        overhead = 0.0
-        if spills:
-            overhead += spills * SPILL_CYCLES
-            counters.spill_instructions += 2 * spills
-        rse = stacked * RSE_CYCLES_PER_REG
-        counters.be_rse_bubble += rse
-        counters.be_flush_bubble += FLUSH_CYCLES
-        counters.back_end_bubble_fe += FRONTEND_CYCLES
-        counters.unstalled += overhead
-        cycle += overhead + rse + FLUSH_CYCLES + FRONTEND_CYCLES
-
+        cycle += _invocation_overhead(result, counters)
         cycle = _run_invocation(
-            setup,
-            streams,
-            restart_uids,
-            running_base,
-            n,
-            memory,
-            machine.ozq_capacity,
-            counters,
-            cycle,
-            sink,
-            queue=machine.queue,
-            scoreboard=machine.scoreboard,
+            setup, streams, restart_uids, running_base, n, memory, machine,
+            counters, cycle, sink,
         )
         running_base += n
         counters.invocations += 1
@@ -147,6 +104,54 @@ def simulate_loop(
         invocations=len(trips),
         total_iterations=total_iters,
     )
+
+
+def _lower(
+    result: PipelineResult,
+    machine: ItaniumMachine,
+    layout: dict[str, StreamSpec],
+    trips: list[int],
+    seed: int,
+    address_map: AddressMap | None = None,
+) -> tuple[ExecutionSetup, LoopStreams, set[int]]:
+    """The execution setup, the address streams and the restarting refs
+    of one compiled loop run for ``trips``."""
+    setup = prepare_execution(result, machine)
+    # streams for reused spaces are indexed from 0 each invocation, so the
+    # array only needs max(trips); streaming spaces need the running total
+    stream_len = max(sum(trips), max(trips) if trips else 0)
+    streams = build_streams(
+        result.loop,
+        layout,
+        stream_len,
+        seed=seed,
+        address_map=address_map,
+    )
+    # split shared stream table into reuse (restarting) vs streaming refs
+    reuse_spaces = {s for s, spec in layout.items() if spec.reuse}
+    restart_uids = {
+        inst.memref.uid
+        for inst in result.loop.body
+        if inst.memref is not None and inst.memref.space in reuse_spaces
+    }
+    return setup, streams, restart_uids
+
+
+def _invocation_overhead(result: PipelineResult, counters: PerfCounters) -> float:
+    """Charge one invocation's fixed costs; returns their cycles."""
+    static = result.static
+    spills = static.spills if static is not None else 0
+    stacked = static.stacked_frame if static is not None else 8
+    overhead = 0.0
+    if spills:
+        overhead += spills * SPILL_CYCLES
+        counters.spill_instructions += 2 * spills
+    rse = stacked * RSE_CYCLES_PER_REG
+    counters.be_rse_bubble += rse
+    counters.be_flush_bubble += FLUSH_CYCLES
+    counters.back_end_bubble_fe += FRONTEND_CYCLES
+    counters.unstalled += overhead
+    return overhead + rse + FLUSH_CYCLES + FRONTEND_CYCLES
 
 
 def _prewarm_resident_regions(
@@ -164,7 +169,7 @@ def _prewarm_resident_regions(
     swamp the per-iteration behaviour the experiments compare.  Streaming
     spaces (``reuse=False``) stay cold, as in reality.
     """
-    line = memory.l2.config.line_size
+    line = memory.l2.geometry.line_size
     seen: set[int] = set()
     for inst in result.loop.body:
         ref = inst.memref
@@ -190,23 +195,20 @@ def _run_invocation(
     running_base: int,
     n: int,
     memory: MemorySystem,
-    ozq_capacity: int,
+    machine: ItaniumMachine,
     counters: PerfCounters,
     cycle: float,
     sink=None,
-    queue=None,
-    scoreboard=None,
 ) -> float:
     """One invocation; restarting spaces read from stream position 0."""
     if not restart_uids:
         return run_iterations(
-            setup, streams, running_base, n, memory, ozq_capacity, counters,
-            cycle, sink, queue, scoreboard,
+            setup, streams, running_base, n, memory, machine, counters,
+            cycle, sink,
         )
     if len(restart_uids) == len(streams.by_ref):
         return run_iterations(
-            setup, streams, 0, n, memory, ozq_capacity, counters, cycle,
-            sink, queue, scoreboard,
+            setup, streams, 0, n, memory, machine, counters, cycle, sink,
         )
     # mixed: give restarting refs a view shifted to the invocation start
     mixed = LoopStreams(lookahead=streams.lookahead)
@@ -216,6 +218,5 @@ def _run_invocation(
         else:
             mixed.by_ref[uid] = arr[running_base:]
     return run_iterations(
-        setup, mixed, 0, n, memory, ozq_capacity, counters, cycle,
-        sink, queue, scoreboard,
+        setup, mixed, 0, n, memory, machine, counters, cycle, sink,
     )

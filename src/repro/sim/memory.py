@@ -11,14 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.machine.description import BankGeometry, MemoryTimings
-from repro.sim.cache import Cache, CacheConfig
+from repro.machine.description import MachineDescription
+from repro.sim.cache import Cache
 from repro.sim.tlb import TLB
-
-#: Dual-Core Itanium 2 (Montecito-class) data-side geometry.
-DEFAULT_L1D = CacheConfig("L1D", size=16 * 1024, line_size=64, associativity=4)
-DEFAULT_L2 = CacheConfig("L2D", size=256 * 1024, line_size=128, associativity=8)
-DEFAULT_L3 = CacheConfig("L3", size=12 * 1024 * 1024, line_size=128, associativity=12)
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,6 +29,10 @@ class AccessResult:
 class MemorySystem:
     """Three cache levels, a TLB, and the latency walk.
 
+    Every latency and every geometry comes from the machine description:
+    its ``timings``, the ``l1d``/``l2``/``l3`` levels, the ``tlb`` and
+    the L2 ``banks``.
+
     The L2 is banked: accesses mapping to a recently-busy bank pay extra
     cycles.  This is the "latency-increasing dynamic hazard" (conflicting
     stores, bank conflicts) of Sec. 3.3 — the reason hint translation uses
@@ -42,36 +41,19 @@ class MemorySystem:
     accesses to the same L2 cache bank are issued in the same cycle [10]."
     """
 
-    #: number of L2 banks and the bank interleave width in bytes
-    #: (class-level defaults; per-machine values shadow them per instance)
-    L2_BANKS = 8
-    L2_BANK_WIDTH = 16
-    #: cycles a bank stays busy after an access
-    L2_BANK_OCCUPANCY = 2.0
-
-    def __init__(
-        self,
-        timings: MemoryTimings | None = None,
-        l1d: CacheConfig = DEFAULT_L1D,
-        l2: CacheConfig = DEFAULT_L2,
-        l3: CacheConfig = DEFAULT_L3,
-        tlb: TLB | None = None,
-        bank_conflicts: bool = True,
-        banks: BankGeometry | None = None,
-    ) -> None:
-        self.timings = timings or MemoryTimings()
-        self.l1d = Cache(l1d)
-        self.l2 = Cache(l2)
-        self.l3 = Cache(l3)
-        self.tlb = tlb or TLB()
-        if banks is not None:
-            self.bank_conflicts = bank_conflicts and banks.enabled
-            self.L2_BANKS = banks.banks
-            self.L2_BANK_WIDTH = banks.width
-            self.L2_BANK_OCCUPANCY = banks.occupancy
-        else:
-            self.bank_conflicts = bank_conflicts
-        self._bank_busy_until = [float("-inf")] * self.L2_BANKS
+    def __init__(self, description: MachineDescription) -> None:
+        self.timings = description.timings
+        self.l1d = Cache(description.l1d)
+        self.l2 = Cache(description.l2)
+        self.l3 = Cache(description.l3)
+        self.tlb = TLB(description.tlb)
+        banks = description.banks
+        # hoisted out of the geometry: the bank check is on every L2 access
+        self._banked = banks.enabled
+        self._bank_count = banks.banks
+        self._bank_width = banks.width
+        self._bank_occupancy = banks.occupancy
+        self._bank_busy_until = [float("-inf")] * self._bank_count
         self.bank_conflict_count = 0
         #: optional :class:`repro.trace.events.TraceSink`; when set and
         #: interested in memory events, every access emits a ``CacheFill``
@@ -81,14 +63,14 @@ class MemorySystem:
 
     def _l2_bank_delay(self, addr: int, now: float) -> float:
         """Extra delay (and occupancy update) for the L2 bank of ``addr``."""
-        if not self.bank_conflicts:
+        if not self._banked:
             return 0.0
-        bank = (addr // self.L2_BANK_WIDTH) % self.L2_BANKS
+        bank = (addr // self._bank_width) % self._bank_count
         busy = self._bank_busy_until[bank]
         delay = max(0.0, busy - now)
         if delay > 0:
             self.bank_conflict_count += 1
-        self._bank_busy_until[bank] = now + delay + self.L2_BANK_OCCUPANCY
+        self._bank_busy_until[bank] = now + delay + self._bank_occupancy
         return delay
 
     def _emit_fill(self, access: str, addr: int, now: float,
@@ -222,5 +204,5 @@ class MemorySystem:
         self.l2.reset()
         self.l3.reset()
         self.tlb.reset()
-        self._bank_busy_until = [float("-inf")] * self.L2_BANKS
+        self._bank_busy_until = [float("-inf")] * self._bank_count
         self.bank_conflict_count = 0

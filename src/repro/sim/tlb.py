@@ -11,38 +11,37 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.machine.description import TlbGeometry
+
 
 class TLB:
-    """Fully-associative LRU data TLB."""
+    """Fully-associative LRU data TLB, shaped by a :class:`TlbGeometry`."""
 
-    def __init__(
-        self,
-        entries: int = 128,
-        page_size: int = 16384,
-        miss_penalty: int = 25,
-    ) -> None:
-        self.entries = entries
-        self.page_size = page_size
-        self.miss_penalty = miss_penalty
+    def __init__(self, geometry: TlbGeometry) -> None:
+        self.geometry = geometry
+        # hoisted out of the geometry: access() is on every memory walk
+        self._entries = geometry.entries
+        self._page_size = geometry.page_size
+        self._penalty = geometry.miss_penalty
         self._pages: OrderedDict[int, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def _page(self, addr: int) -> int:
-        return addr // self.page_size
+        return addr // self._page_size
 
     def access(self, addr: int) -> int:
         """Demand access: returns the added penalty (0 on a hit)."""
-        page = addr // self.page_size  # _page inlined: hot path
+        page = addr // self._page_size  # _page inlined: hot path
         if page in self._pages:
             self._pages.move_to_end(page)
             self.hits += 1
             return 0
         self.misses += 1
-        if len(self._pages) >= self.entries:
+        if len(self._pages) >= self._entries:
             self._pages.popitem(last=False)
         self._pages[page] = None
-        return self.miss_penalty
+        return self._penalty
 
     def probe(self, addr: int) -> bool:
         """Non-faulting probe used by prefetches; does not refill."""

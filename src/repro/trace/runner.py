@@ -19,7 +19,6 @@ from repro.machine.itanium2 import ItaniumMachine
 from repro.pipeliner.driver import PipelineResult
 from repro.sim.address import AddressMap, StreamSpec
 from repro.sim.executor import LoopRunResult, simulate_loop
-from repro.sim.memory import MemorySystem
 from repro.trace.attribution import (
     AccountingCheck,
     StallAttribution,
@@ -52,7 +51,6 @@ def trace_simulation(
     trip_counts: list[int] | np.ndarray,
     *,
     seed: int = 11,
-    memory: MemorySystem | None = None,
     address_map: AddressMap | None = None,
     ring: int | None = None,
 ) -> TraceResult:
@@ -70,7 +68,6 @@ def trace_simulation(
         machine,
         layout,
         trip_counts,
-        memory=memory or machine.memory_system(),
         seed=seed,
         address_map=address_map,
         sink=sink,

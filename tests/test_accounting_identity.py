@@ -14,7 +14,7 @@ from repro.core.accounting import cycle_identity_residual, verify_cycle_identity
 from repro.core.compiler import LoopCompiler
 from repro.harness.jobs import collect_profile
 from repro.machine import ItaniumMachine
-from repro.sim import MemorySystem, simulate_loop
+from repro.sim import simulate_loop
 from repro.sim.counters import PerfCounters
 from repro.workloads import suite_by_name
 
@@ -44,7 +44,7 @@ def test_identity_holds_for_every_suite_loop(suite_name, config_name):
         compiled = LoopCompiler(machine, config).compile(loop, profile)
         sim = simulate_loop(
             compiled.result, machine, layout, [50, 30],
-            memory=MemorySystem(machine.timings), seed=17,
+            seed=17,
         )
         if not verify_cycle_identity(sim.cycles, sim.counters):
             failures.append(

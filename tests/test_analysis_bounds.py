@@ -25,7 +25,6 @@ from repro.ir.registers import RegClass
 from repro.machine import ItaniumMachine
 from repro.sim.address import StreamSpec
 from repro.sim.executor import simulate_loop
-from repro.sim.memory import MemorySystem
 
 TRIPS = [50, 7]
 LAYOUT = {"a": StreamSpec(size=1 << 16), "b": StreamSpec(size=1 << 16)}
@@ -47,7 +46,7 @@ def compiled(running_example, boost_all_config, machine):
 def simmed(compiled, machine):
     run = simulate_loop(
         compiled.result, machine, LAYOUT, TRIPS,
-        memory=MemorySystem(machine.timings), seed=11,
+        seed=11,
     )
     model = build_perf_model(compiled.result, machine, LAYOUT)
     return model, run
@@ -82,7 +81,7 @@ class TestCleanPaths:
         trips = [0, 20, -3]
         run = simulate_loop(
             compiled.result, machine, LAYOUT, trips,
-            memory=MemorySystem(machine.timings), seed=11,
+            seed=11,
         )
         model = build_perf_model(compiled.result, machine, LAYOUT)
         report = model.check_counters(trips, run.counters, run.cycles)

@@ -21,7 +21,9 @@ from repro.hlo.sampling import (
     hints_from_miss_profile,
 )
 from repro.ir.memref import LatencyHint
-from repro.sim import MemorySystem, simulate_loop
+from repro.machine import TlbGeometry, build_machine
+from repro.sim import simulate_loop
+from repro.sim.address import StreamSpec
 from repro.workloads.loops import gather, low_trip_linear, pointer_chase
 
 MB = 1 << 20
@@ -69,6 +71,22 @@ class TestMissSampling:
         assert idx_stats.typical_level == 1
         assert data_stats.typical_level >= 3
 
+    def test_sampling_runs_on_the_machine_it_is_given(self, machine):
+        """The training run reads the whole description: a slower TLB
+        walk shows up in the sampled latencies."""
+        slow_tlb = build_machine(machine.description.with_(
+            name="slow-tlb", tlb=TlbGeometry(miss_penalty=200),
+        ))
+        factory = partial(pointer_chase, "m", heap=64 * MB)
+        fast = collect_miss_profile(factory, machine, [4] * 40)
+        slow = collect_miss_profile(factory, slow_tlb, [4] * 40)
+        loop, _ = factory()
+        for load in loop.loads:
+            assert (
+                slow.for_ref(load.memref).mean_latency
+                > fast.for_ref(load.memref).mean_latency
+            )
+
     def test_hints_from_profile(self, machine):
         factory = partial(pointer_chase, "m", heap=64 * MB)
         profile = collect_miss_profile(factory, machine, [4] * 80)
@@ -111,7 +129,6 @@ class TestMissSampling:
             )
             sim = simulate_loop(
                 compiled.result, machine, layout, list(trips),
-                memory=MemorySystem(machine.timings),
             )
             cycles[label] = sim.cycles
         assert cycles["sampled"] < cycles["base"] * 0.8
@@ -163,7 +180,6 @@ class TestTripCountVersioning:
         boosted_only = LoopCompiler(machine, cfg).compile(loop, profile)
         plain = simulate_loop(
             boosted_only.result, machine, layout, trips,
-            memory=MemorySystem(machine.timings),
         )
 
         versioned, layout_v = compile_versions(
@@ -171,7 +187,6 @@ class TestTripCountVersioning:
         )
         multi = simulate_versioned(
             versioned, machine, layout_v, trips,
-            memory=MemorySystem(machine.timings),
         )
         assert multi.cycles < plain.cycles * 0.9
 
@@ -181,7 +196,6 @@ class TestTripCountVersioning:
         ).compile(loop_f, profile)
         base = simulate_loop(
             fallback_only.result, machine, layout_f, trips,
-            memory=MemorySystem(machine.timings),
         )
         # within the version-check overhead of the conventional build
         overhead = len(trips) * VERSION_CHECK_CYCLES
@@ -205,7 +219,6 @@ class TestTripCountVersioning:
                                  p_low=0.5).sample(rng, 200)
         multi = simulate_versioned(
             versioned, machine, layout, list(trips),
-            memory=MemorySystem(machine.timings),
         )
         loop_f, layout_f = factory()
         fallback_only = LoopCompiler(
@@ -213,6 +226,27 @@ class TestTripCountVersioning:
         ).compile(loop_f, profile)
         base = simulate_loop(
             fallback_only.result, machine, layout_f, list(trips),
-            memory=MemorySystem(machine.timings),
         )
         assert multi.cycles < base.cycles
+
+    def test_one_version_costs_its_plain_run_plus_checks(self, machine):
+        """Threshold 0 always picks the boosted kernel, so the versioned
+        run is the boosted loop's plain run plus one check per
+        invocation — also when only some spaces restart per invocation."""
+
+        def factory():
+            loop, layout = low_trip_linear("mix")
+            layout["mix.ref"] = StreamSpec(size=1 * MB, reuse=False)
+            return loop, layout
+
+        cfg = CompilerConfig(hint_policy=HintPolicy.ALL_LOADS_L3,
+                             trip_count_threshold=0)
+        versioned, layout = compile_versions(factory, machine, cfg,
+                                             threshold=0)
+        trips = [8] * 50
+        multi = simulate_versioned(versioned, machine, layout, trips)
+        plain = simulate_loop(versioned.boosted.result, machine, layout,
+                              trips)
+        assert multi.cycles == pytest.approx(
+            plain.cycles + len(trips) * VERSION_CHECK_CYCLES
+        )

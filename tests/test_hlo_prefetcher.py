@@ -8,6 +8,7 @@ from repro.config import CompilerConfig, HintPolicy, baseline_config
 from repro.hlo import leading_references, plan_prefetches, run_hlo
 from repro.hlo.prefetcher import (
     INDIRECT_DISTANCE_CAP,
+    PREFETCH_TARGET_LATENCY,
     SYMBOLIC_STRIDE_DISTANCE_CAP,
     apply_prefetch_plan,
 )
@@ -51,7 +52,7 @@ class TestDistanceComputation:
         decision = plan.decision_for(loop.loads[0].memref)
         ii_est = machine.resources.resource_ii(loop.body)
         assert decision.optimal_distance == math.ceil(
-            cfg.prefetch_target_latency / ii_est
+            PREFETCH_TARGET_LATENCY / ii_est
         )
         assert decision.emitted
 

@@ -14,10 +14,13 @@ import pytest
 
 from repro.errors import MachineModelError
 from repro.machine import (
+    BankGeometry,
+    CacheLevel,
     ItaniumMachine,
     MachineDescription,
     QueueDiscipline,
     ScoreboardPolicy,
+    TlbGeometry,
     build_machine,
     machine_description,
     machine_names,
@@ -129,7 +132,41 @@ def test_memory_system_matches_description_geometry():
     machine = build_machine("itanium2")
     memory = machine.memory_system()
     desc = machine.description
-    assert memory.l1d.config.size == desc.l1d.size
-    assert memory.l2.config.line_size == desc.l2.line_size
-    assert memory.tlb.miss_penalty == desc.tlb.miss_penalty
-    assert memory.L2_BANKS == desc.banks.banks
+    assert memory.l1d.geometry == desc.l1d
+    assert memory.l2.geometry == desc.l2
+    assert memory.l3.geometry == desc.l3
+    assert memory.tlb.geometry == desc.tlb
+    assert memory.timings == desc.timings
+
+
+def test_memory_system_takes_non_default_geometry_from_description():
+    desc = machine_description("itanium2").with_(
+        name="odd-geometry",
+        l2=CacheLevel("L2D", 512 * 1024, 64, 16),
+        tlb=TlbGeometry(entries=32, page_size=4096, miss_penalty=60),
+        banks=BankGeometry(banks=4, width=64, occupancy=3.0),
+    )
+    memory = build_machine(desc).memory_system()
+    assert memory.l2.geometry == desc.l2
+    assert memory.tlb.geometry == desc.tlb
+    # TLB: 4 KB pages, 60-cycle walks
+    assert memory.tlb.access(0) == 60
+    assert memory.tlb.access(4096) == 60
+    assert memory.tlb.access(4095) == 0
+    # L2 banks: 4 banks of 64 bytes, busy for 3 cycles per access
+    base = 0x100000
+    for addr in (base, base + 64, base + 4 * 64):
+        memory.load(addr, now=0, is_fp=True)  # warm the L2 and the TLB
+    first = memory.load(base, now=1000, is_fp=True)
+    other_bank = memory.load(base + 64, now=1000, is_fp=True)
+    same_bank = memory.load(base + 4 * 64, now=1000, is_fp=True)
+    assert other_bank.latency == first.latency
+    assert same_bank.latency == first.latency + 3.0
+    assert memory.bank_conflict_count == 1
+
+
+def test_cache_level_rejects_geometry_that_does_not_divide_into_sets():
+    data = machine_description("itanium2").to_dict()
+    data["hierarchy"]["l2"]["size"] = 1000
+    with pytest.raises(MachineModelError):
+        MachineDescription.from_dict(data)

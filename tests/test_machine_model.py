@@ -12,20 +12,22 @@ from repro.machine import (
     TYPICAL_TRANSLATION,
     HintTranslation,
     ItaniumMachine,
-    ResourceModel,
 )
+
+#: the default machine's ports
+RESOURCES = ItaniumMachine().resources
 
 
 class TestResourceModel:
     def test_capacities(self):
-        rm = ResourceModel()
+        rm = RESOURCES
         assert rm.capacity(UnitClass.M) == 2
         assert rm.capacity(UnitClass.F) == 2
         # A-type pools M and I
         assert rm.capacity(UnitClass.A) == 4
 
     def test_resource_ii_running_example(self, running_example):
-        rm = ResourceModel()
+        rm = RESOURCES
         # ld (M) + st (M) + add (A) fit in one cycle
         assert rm.resource_ii(running_example.body) == 1
 
@@ -39,14 +41,14 @@ class TestResourceModel:
             out = b.alu("add", out, v)
         loop = b.build("mem")
         # 5 loads on 2 M ports -> ceil(5/2) = 3
-        assert ResourceModel().resource_ii(loop.body) == 3
+        assert RESOURCES.resource_ii(loop.body) == 3
 
     def test_fp_bound_resource_ii(self):
         b = LoopBuilder()
         x = b.live_freg("x")
         vals = [b.fma(x, x, x) for _ in range(6)]
         loop = b.build("fp", validate=False)
-        assert ResourceModel().resource_ii(loop.body) == 3
+        assert RESOURCES.resource_ii(loop.body) == 3
 
     def test_issue_width_bound(self):
         b = LoopBuilder()
@@ -55,7 +57,7 @@ class TestResourceModel:
             x = b.alu_imm("adds", x, 1)
         loop = b.build("wide")
         # 12 A-type on 4 M+I slots -> 3
-        assert ResourceModel().resource_ii(loop.body) == 3
+        assert RESOURCES.resource_ii(loop.body) == 3
 
 
 class TestHintTranslation:
@@ -157,12 +159,6 @@ class TestConfig:
 
         with pytest.raises(ConfigError):
             CompilerConfig(trip_count_threshold=-1)
-
-    def test_invalid_criticality_threshold(self):
-        from repro.config import CompilerConfig
-
-        with pytest.raises(ConfigError):
-            CompilerConfig(criticality_threshold="bogus")
 
     def test_with_(self):
         from repro.config import baseline_config

@@ -7,7 +7,7 @@ from repro.config import CompilerConfig, baseline_config
 from repro.ir import parse_loop
 from repro.pipeliner import pipeline_loop
 from repro.pipeliner.balanced import PerLoadLatencyMachine, balanced_pipeline
-from repro.sim import MemorySystem, simulate_loop
+from repro.sim import simulate_loop
 from repro.workloads.loops import low_trip_linear, pointer_chase
 from tests.conftest import RUNNING_EXAMPLE
 
@@ -65,7 +65,6 @@ class TestBalancedPipeline:
         hinted = pipeline_loop(loop_h, machine, baseline_config())
         base_sim = simulate_loop(
             hinted, machine, layout, trips,
-            memory=MemorySystem(machine.timings),
         )
 
         loop_b, layout_b = low_trip_linear("res", working_set=8 * 1024)
@@ -73,7 +72,6 @@ class TestBalancedPipeline:
         balanced = balanced_pipeline(loop_b, machine, total_budget=20)
         bal_sim = simulate_loop(
             balanced, machine, layout_b, trips,
-            memory=MemorySystem(machine.timings),
         )
         # the loads are L1-resident: balancing adds stages for nothing
         assert balanced.stats.stage_count > hinted.stats.stage_count

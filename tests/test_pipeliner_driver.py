@@ -6,8 +6,6 @@ from repro.config import CompilerConfig, baseline_config
 from repro.ir import LoopBuilder, parse_loop
 from repro.ir.memref import AccessPattern, LatencyHint
 from repro.machine import ItaniumMachine
-from repro.machine.itanium2 import MemoryTimings
-from repro.machine.resources import ResourceModel
 from repro.ir.registers import RegClass, RegisterFile, ROTATING_PR_BASE
 from repro.pipeliner import pipeline_loop
 
@@ -84,11 +82,7 @@ class TestRetryLadder:
         small_files = dict(machine.register_files)
         small_files[RegClass.FR] = RegisterFile(RegClass.FR, 64, 32, 32)
         tight = ItaniumMachine(
-            resources=machine.resources,
-            timings=machine.timings,
-            translation=machine.translation,
-            register_files=small_files,
-            ozq_capacity=machine.ozq_capacity,
+            description=machine.description, register_files=small_files
         )
         loop = self._wide_fp_loop()
         result = pipeline_loop(loop, tight, CompilerConfig(trip_count_threshold=0))

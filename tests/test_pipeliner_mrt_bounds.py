@@ -8,8 +8,11 @@ from repro.ir.instructions import Instruction
 from repro.ir.memref import MemRef
 from repro.ir.opcodes import opcode
 from repro.ir.registers import greg, freg
-from repro.machine import ItaniumMachine, ResourceModel
+from repro.machine import ItaniumMachine
 from repro.pipeliner import ModuloReservationTable, compute_bounds
+
+#: the default machine's ports
+RESOURCES = ItaniumMachine().resources
 
 
 def _ld(n):
@@ -27,7 +30,7 @@ def _fma(n):
 
 class TestMRT:
     def test_basic_place_remove(self):
-        mrt = ModuloReservationTable(2, ResourceModel())
+        mrt = ModuloReservationTable(2, RESOURCES)
         a = _ld(0)
         assert mrt.fits(a, 0)
         mrt.place(a, 0)
@@ -36,7 +39,7 @@ class TestMRT:
         assert a not in mrt
 
     def test_m_port_saturation(self):
-        mrt = ModuloReservationTable(1, ResourceModel())
+        mrt = ModuloReservationTable(1, RESOURCES)
         mrt.place(_ld(0), 0)
         mrt.place(_ld(1), 0)
         # two M ports full; a third load cannot fit in the same row
@@ -44,7 +47,7 @@ class TestMRT:
         assert not mrt.fits(_ld(2), 7)  # any time maps to row 0 at II=1
 
     def test_a_type_overflow_to_m(self):
-        mrt = ModuloReservationTable(1, ResourceModel())
+        mrt = ModuloReservationTable(1, RESOURCES)
         # fill both I slots with A-type ops, then both M slots
         for n in range(4):
             assert mrt.fits(_add(n), 0)
@@ -54,7 +57,7 @@ class TestMRT:
         assert not mrt.fits(_ld(0), 0)
 
     def test_issue_width_including_branch(self):
-        mrt = ModuloReservationTable(1, ResourceModel())
+        mrt = ModuloReservationTable(1, RESOURCES)
         # the implicit branch reserves one of the six issue slots
         placed = 0
         ops = [_add(0), _add(1), _fma(0), _fma(1), _ld(0), _ld(1)]
@@ -65,7 +68,7 @@ class TestMRT:
         assert placed == 5  # 6-wide minus the branch
 
     def test_rows_are_modular(self):
-        mrt = ModuloReservationTable(3, ResourceModel())
+        mrt = ModuloReservationTable(3, RESOURCES)
         a = _ld(0)
         mrt.place(a, 7)  # row 1
         assert mrt.occupants_of_row(1) == [a]
@@ -75,7 +78,7 @@ class TestMRT:
         assert not mrt.fits(_ld(2), 10)
 
     def test_double_place_rejected(self):
-        mrt = ModuloReservationTable(2, ResourceModel())
+        mrt = ModuloReservationTable(2, RESOURCES)
         a = _ld(0)
         mrt.place(a, 0)
         with pytest.raises(ValueError):
@@ -83,7 +86,7 @@ class TestMRT:
 
     def test_invalid_ii(self):
         with pytest.raises(ValueError):
-            ModuloReservationTable(0, ResourceModel())
+            ModuloReservationTable(0, RESOURCES)
 
 
 class TestBounds:

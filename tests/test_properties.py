@@ -194,7 +194,7 @@ class TestExecutionInvariants:
     @given(pipelinable_loops(), st.integers(10, 60))
     def test_cycles_at_least_nominal(self, loop, trips):
         from repro.core.compiler import LoopCompiler
-        from repro.sim import MemorySystem, simulate_loop
+        from repro.sim import simulate_loop
         from repro.sim.address import StreamSpec
 
         machine = ItaniumMachine()
@@ -206,7 +206,6 @@ class TestExecutionInvariants:
         }
         run = simulate_loop(
             compiled.result, machine, layout, [trips],
-            memory=MemorySystem(machine.timings),
         )
         stats = compiled.stats
         nominal = (trips + stats.stage_count - 1) * stats.ii

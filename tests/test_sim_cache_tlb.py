@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.sim.cache import Cache, CacheConfig
+from repro.errors import MachineModelError
+from repro.machine import CacheLevel, TlbGeometry
+from repro.sim.cache import Cache
 from repro.sim.tlb import TLB
 
 
 def _small_cache(assoc=2, sets=4, line=64):
-    return Cache(CacheConfig("t", size=line * assoc * sets, line_size=line,
-                             associativity=assoc))
+    return Cache(CacheLevel("t", size=line * assoc * sets, line_size=line,
+                            associativity=assoc))
 
 
 class TestCache:
@@ -60,33 +62,33 @@ class TestCache:
         assert not c.contains(0)
 
     def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            CacheConfig("bad", size=1000, line_size=64, associativity=4)
+        with pytest.raises(MachineModelError):
+            CacheLevel("bad", size=1000, line_size=64, associativity=4)
 
 
 class TestTLB:
     def test_miss_penalty_then_hit(self):
-        tlb = TLB(entries=2, page_size=16384, miss_penalty=25)
+        tlb = TLB(TlbGeometry(entries=2, page_size=16384, miss_penalty=25))
         assert tlb.access(0) == 25
         assert tlb.access(100) == 0  # same page
         assert tlb.access(16384) == 25
 
     def test_lru_capacity(self):
-        tlb = TLB(entries=2, page_size=16384)
+        tlb = TLB(TlbGeometry(entries=2, page_size=16384))
         tlb.access(0)
         tlb.access(16384)
         tlb.access(2 * 16384)  # evicts page 0
-        assert tlb.access(0) == tlb.miss_penalty
+        assert tlb.access(0) == tlb.geometry.miss_penalty
 
     def test_probe_does_not_fill(self):
-        tlb = TLB(entries=4)
+        tlb = TLB(TlbGeometry(entries=4))
         assert not tlb.probe(0)
         assert not tlb.probe(0)  # still not resident
         tlb.access(0)
         assert tlb.probe(0)
 
     def test_reset(self):
-        tlb = TLB()
+        tlb = TLB(TlbGeometry())
         tlb.access(0)
         tlb.reset()
         assert not tlb.probe(0)

@@ -12,6 +12,7 @@ from repro.config import CompilerConfig, baseline_config
 from repro.core.theory import stall_reduction_percent
 from repro.ir import parse_loop
 from repro.ir.memref import LatencyHint
+from repro.machine.description import ITANIUM2
 from repro.machine.hints import HintTranslation
 from repro.pipeliner import pipeline_loop
 from repro.sim import prepare_execution, run_iterations
@@ -25,7 +26,7 @@ class FixedLatencyMemory(MemorySystem):
     """Every load takes exactly ``latency`` cycles; stores are free."""
 
     def __init__(self, latency: float) -> None:
-        super().__init__(bank_conflicts=False)
+        super().__init__(ITANIUM2)
         self.fixed = float(latency)
 
     def load(self, addr, now, is_fp=False):
@@ -63,7 +64,9 @@ def _run(machine, d_extra, runtime_latency, n=400, ozq=48):
     streams = build_streams(loop, LAYOUT, n)
     counters = PerfCounters()
     memory = FixedLatencyMemory(runtime_latency)
-    run_iterations(setup, streams, 0, n, memory, ozq, counters)
+    run_iterations(
+        setup, streams, 0, n, memory, m.with_ozq_capacity(ozq), counters
+    )
     return result, counters
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import CompilerConfig, baseline_config
 from repro.core.compiler import LoopCompiler
-from repro.sim import MemorySystem, simulate_loop
+from repro.sim import simulate_loop
 from repro.sim.executor import FLUSH_CYCLES, FRONTEND_CYCLES
 from repro.workloads.loops import low_trip_linear, pointer_chase, stream_int
 
@@ -29,10 +29,8 @@ class TestSimulateLoop:
         loop, layout = low_trip_linear("h")
         loop.trip_count.estimate = 10.0
         result = _compile(loop, machine)
-        one = simulate_loop(result, machine, layout, [10],
-                            memory=MemorySystem(machine.timings))
-        many = simulate_loop(result, machine, layout, [10] * 5,
-                             memory=MemorySystem(machine.timings))
+        one = simulate_loop(result, machine, layout, [10])
+        many = simulate_loop(result, machine, layout, [10] * 5)
         assert many.counters.be_flush_bubble == pytest.approx(
             5 * FLUSH_CYCLES
         )
@@ -62,9 +60,7 @@ class TestSimulateLoop:
                                   reuse=True)
         loop.trip_count.estimate = 100.0
         result = _compile(loop, machine, baseline_config().with_(prefetch=False))
-        memory = MemorySystem(machine.timings)
-        # disable prewarm effect by measuring per-invocation deltas
-        c1 = simulate_loop(result, machine, layout, [100], memory=memory)
+        c1 = simulate_loop(result, machine, layout, [100])
         assert c1.cycles > 0
 
     def test_deterministic(self, machine):

@@ -2,12 +2,19 @@
 
 import pytest
 
+from repro.machine import BankGeometry
 from repro.sim.memory import MemorySystem
+
+
+def _unbanked(machine):
+    return MemorySystem(
+        machine.description.with_(banks=BankGeometry(enabled=False))
+    )
 
 
 @pytest.fixture
 def mem(machine):
-    return MemorySystem(machine.timings, bank_conflicts=False)
+    return _unbanked(machine)
 
 
 class TestDemandLoads:
@@ -40,12 +47,12 @@ class TestDemandLoads:
         assert not res.occupies_ozq  # merged into the in-flight fill
 
     def test_tlb_penalty_added(self, machine):
-        mem = MemorySystem(machine.timings, bank_conflicts=False)
+        mem = _unbanked(machine)
         first = mem.load(0x100000, now=0)
-        mem2 = MemorySystem(machine.timings, bank_conflicts=False)
+        mem2 = _unbanked(machine)
         mem2.tlb.access(0x100000)
         second = mem2.load(0x100000, now=0)
-        assert first.latency == second.latency + mem.tlb.miss_penalty
+        assert first.latency == second.latency + mem.tlb.geometry.miss_penalty
 
 
 class TestStores:
@@ -64,7 +71,7 @@ class TestPrefetch:
         """The VHPT walker services lfetch TLB misses: slower fill, and
         the translation is installed for the demand stream."""
         res = mem.prefetch(0x400000, now=0)
-        assert res.latency == machine.timings.memory + mem.tlb.miss_penalty
+        assert res.latency == machine.timings.memory + mem.tlb.geometry.miss_penalty
         assert mem.tlb.probe(0x400000)
 
     def test_prefetch_fills_ahead(self, mem, machine):
@@ -92,7 +99,7 @@ class TestPrefetch:
 
 class TestBankConflicts:
     def test_same_bank_back_to_back_delays(self, machine):
-        mem = MemorySystem(machine.timings, bank_conflicts=True)
+        mem = machine.memory_system()
         addr = 0x100000
         mem.load(addr, now=0)  # warm the line (and the TLB)
         first = mem.load(addr, now=1000, is_fp=True)
@@ -101,7 +108,7 @@ class TestBankConflicts:
         assert mem.bank_conflict_count >= 1
 
     def test_disabled_banks_no_delay(self, machine):
-        mem = MemorySystem(machine.timings, bank_conflicts=False)
+        mem = _unbanked(machine)
         addr = 0x100000
         mem.load(addr, now=0)
         a = mem.load(addr, now=1000, is_fp=True)
@@ -109,17 +116,16 @@ class TestBankConflicts:
         assert a.latency == b.latency
 
     def test_different_banks_no_delay(self, machine):
-        mem = MemorySystem(machine.timings, bank_conflicts=True)
+        mem = machine.memory_system()
         mem.load(0x100000, now=0)
-        mem.load(0x100000 + MemorySystem.L2_BANK_WIDTH, now=0)
+        width = machine.description.banks.width
+        mem.load(0x100000 + width, now=0)
         a = mem.load(0x100000, now=1000, is_fp=True)
-        b = mem.load(
-            0x100000 + MemorySystem.L2_BANK_WIDTH, now=1000, is_fp=True
-        )
+        b = mem.load(0x100000 + width, now=1000, is_fp=True)
         assert a.latency == b.latency
 
     def test_reset_clears_banks(self, machine):
-        mem = MemorySystem(machine.timings)
+        mem = machine.memory_system()
         mem.load(0x100000, now=0)
         mem.reset()
         assert mem.bank_conflict_count == 0

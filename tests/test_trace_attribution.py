@@ -12,6 +12,7 @@ from repro.config import CompilerConfig, baseline_config
 from repro.harness.jobs import collect_profile
 from repro.ir import parse_loop
 from repro.machine import ItaniumMachine
+from repro.machine.description import ITANIUM2
 from repro.pipeliner import pipeline_loop
 from repro.sim import prepare_execution, run_iterations, simulate_loop
 from repro.sim.address import StreamSpec, build_streams
@@ -32,7 +33,7 @@ class FixedLatencyMemory(MemorySystem):
     """Every load takes exactly ``latency`` cycles; stores are free."""
 
     def __init__(self, latency: float) -> None:
-        super().__init__(bank_conflicts=False)
+        super().__init__(ITANIUM2)
         self.fixed = float(latency)
 
     def load(self, addr, now, is_fp=False):
@@ -72,8 +73,8 @@ def run_attributed(latency, n=400, d_extra=0):
     counters = PerfCounters()
     attribution = StallAttribution()
     cycles = run_iterations(
-        setup, streams, 0, n, FixedLatencyMemory(latency),
-        machine.ozq_capacity, counters, sink=attribution,
+        setup, streams, 0, n, FixedLatencyMemory(latency), machine,
+        counters, sink=attribution,
     )
     return cycles, counters, attribution
 
@@ -153,8 +154,8 @@ class TestReplay:
         streams = build_streams(loop, LAYOUT, 300)
         capture, streaming = CaptureSink(), StallAttribution()
         run_iterations(
-            setup, streams, 0, 300, MemorySystem(machine.timings),
-            machine.ozq_capacity, PerfCounters(),
+            setup, streams, 0, 300, machine.memory_system(), machine,
+            PerfCounters(),
             sink=TeeSink(capture, streaming),
         )
         replayed = StallAttribution().replay(capture.events)

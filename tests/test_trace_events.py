@@ -7,7 +7,6 @@ from repro.pipeliner import pipeline_loop
 from repro.sim import prepare_execution, run_iterations
 from repro.sim.address import StreamSpec, build_streams
 from repro.sim.counters import PerfCounters
-from repro.sim.memory import MemorySystem
 from repro.trace import (
     CaptureSink,
     CountingSink,
@@ -34,11 +33,10 @@ def simulate(sink, n=200):
     setup = prepare_execution(result, machine)
     streams = build_streams(loop, LAYOUT, n)
     counters = PerfCounters()
-    memory = MemorySystem(machine.timings)
+    memory = machine.memory_system()
     memory.sink = sink
     cycles = run_iterations(
-        setup, streams, 0, n, memory, machine.ozq_capacity, counters,
-        sink=sink,
+        setup, streams, 0, n, memory, machine, counters, sink=sink,
     )
     return cycles, counters
 

@@ -114,7 +114,7 @@ class TestPredicatedWorkloads:
         from repro.config import CompilerConfig, HintPolicy
         from repro.core.compiler import LoopCompiler
         from repro.hlo.profiles import TripDistribution, collect_block_profile
-        from repro.sim import MemorySystem, simulate_loop
+        from repro.sim import simulate_loop
         from repro.workloads.loops import pointer_chase
 
         loop, layout = pointer_chase("pred", heap=1 << 22, predicated=True)
@@ -137,6 +137,5 @@ class TestPredicatedWorkloads:
         )
         run = simulate_loop(
             compiled.result, machine, layout, list(trips),
-            memory=MemorySystem(machine.timings),
         )
         assert run.cycles > 0

@@ -7,7 +7,6 @@ from repro.core.compiler import LoopCompiler
 from repro.harness.jobs import collect_profile, sample_trips
 from repro.machine import ItaniumMachine
 from repro.sim.executor import simulate_loop
-from repro.sim.memory import MemorySystem
 from repro.workloads import cpu2000_suite, cpu2006_suite, micro_suite
 
 machine = ItaniumMachine()
@@ -28,10 +27,8 @@ for bench in suites:
             loop, layout = lw.build()
             compiled = compiler.compile(loop, profile)
             trips = sample_trips(bench, pos, 11)
-            memory = MemorySystem(machine.timings)
             sim = simulate_loop(
-                compiled.result, machine, layout, trips,
-                memory=memory, seed=11 + pos,
+                compiled.result, machine, layout, trips, seed=11 + pos,
             )
             model = build_perf_model(compiled.result, machine, layout)
             rep = model.check_counters(trips, sim.counters, sim.cycles)

@@ -32,11 +32,12 @@ from repro.config import baseline_config
 from repro.core.compiler import LoopCompiler
 from repro.harness.jobs import collect_profile, sample_trips
 from repro.machine.itanium2 import ItaniumMachine
-from repro.sim.address import build_streams
-from repro.sim.core import prepare_execution
 from repro.sim.counters import PerfCounters
-from repro.sim.executor import _prewarm_resident_regions, _run_invocation
-from repro.sim.memory import MemorySystem
+from repro.sim.executor import (
+    _lower,
+    _prewarm_resident_regions,
+    _run_invocation,
+)
 from repro.workloads.spec import suite_by_name
 
 
@@ -64,19 +65,12 @@ def _prepare(suite: str, seed: int, machine: ItaniumMachine) -> list[_Prepared]:
             loop, layout = lw.build()
             compiled = compiler.compile(loop, profile)
             trips = [int(t) for t in sample_trips(bench, pos, seed)]
-            stream_len = max(sum(trips), max(trips) if trips else 0)
-            streams = build_streams(
-                compiled.result.loop, layout, stream_len, seed=seed + pos
+            setup, streams, restart = _lower(
+                compiled.result, machine, layout, trips, seed + pos
             )
-            reuse = {s for s, spec in layout.items() if spec.reuse}
-            restart = {
-                inst.memref.uid
-                for inst in compiled.result.loop.body
-                if inst.memref is not None and inst.memref.space in reuse
-            }
             prepared.append(_Prepared(
                 result=compiled.result,
-                setup=prepare_execution(compiled.result, machine),
+                setup=setup,
                 layout=layout,
                 streams=streams,
                 trips=trips,
@@ -87,7 +81,7 @@ def _prepare(suite: str, seed: int, machine: ItaniumMachine) -> list[_Prepared]:
 
 def _replay(p: _Prepared, machine: ItaniumMachine, profiler: cProfile.Profile):
     """One full replay of a prepared loop; only the replay is profiled."""
-    memory = MemorySystem(machine.timings)
+    memory = machine.memory_system()
     _prewarm_resident_regions(p.result, p.layout, p.streams, memory)
     counters = PerfCounters()
     cycle = 0.0
@@ -95,9 +89,8 @@ def _replay(p: _Prepared, machine: ItaniumMachine, profiler: cProfile.Profile):
     profiler.enable()
     for n in p.trips:
         cycle = _run_invocation(
-            p.setup, p.streams, p.restart_uids, base, n, memory,
-            machine.ozq_capacity, counters, cycle,
-            queue=machine.queue, scoreboard=machine.scoreboard,
+            p.setup, p.streams, p.restart_uids, base, n, memory, machine,
+            counters, cycle,
         )
         base += n
     profiler.disable()
