@@ -22,13 +22,13 @@ from repro.hlo.profiles import BlockProfile
 from repro.ir.loop import Loop
 from repro.machine.itanium2 import ItaniumMachine
 from repro.sim.address import StreamSpec
+from repro.sim.core import run_iterations
 from repro.sim.counters import PerfCounters
 from repro.sim.executor import (
     LoopRunResult,
     _invocation_overhead,
     _lower,
     _prewarm_resident_regions,
-    _run_invocation,
 )
 
 #: cycles of the runtime trip-count test + branch selecting the version
@@ -118,9 +118,9 @@ def simulate_versioned(
             + VERSION_CHECK_CYCLES
         )
         counters.unstalled += VERSION_CHECK_CYCLES
-        cycle = _run_invocation(
-            setup, streams, restart_uids, running_base, n, memory, machine,
-            counters, cycle,
+        cycle = run_iterations(
+            setup, streams, running_base, n, memory, machine, counters,
+            cycle, restart_uids=restart_uids,
         )
         running_base += n
         counters.invocations += 1

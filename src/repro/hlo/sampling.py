@@ -24,7 +24,6 @@ from repro.config import CompilerConfig, baseline_config
 from repro.ir.loop import Loop
 from repro.ir.memref import LatencyHint, MemRef
 from repro.machine.itanium2 import ItaniumMachine
-from repro.sim.memory import MemorySystem
 
 RefKey = tuple[str, str]
 
@@ -102,42 +101,27 @@ class MissProfile:
         entry.add(level, latency)
 
 
-class _SamplingMemory(MemorySystem):
-    """A memory system that attributes each demand load to its reference.
+class _LoadSampler:
+    """A trace sink that records every demand load against its reference.
 
-    ``current_ref`` is set by the tagging stream table just before the
-    executor issues the access (the executor performs exactly one stream
-    lookup per memory operation, immediately before the memory call).
+    It wants memory events only; each ``LoadIssue`` carries the issuing
+    op's tag, which maps back to the reference the op accesses.
     """
 
-    def __init__(self, description, profile: MissProfile) -> None:
-        super().__init__(description)
+    wants_issues = False
+    wants_uses = False
+    wants_stalls = False
+    wants_memory = True
+
+    def __init__(self, profile: MissProfile, ref_by_tag: dict[str, MemRef]):
         self.profile = profile
-        self.current_ref: MemRef | None = None
+        self.ref_by_tag = ref_by_tag
 
-    def load(self, addr, now, is_fp=False):
-        result = super().load(addr, now, is_fp)
-        if self.current_ref is not None:
-            self.profile.record(self.current_ref, result.level, result.latency)
-        return result
-
-
-class _TaggingStreams:
-    """Stream table that tells the memory which reference is accessing."""
-
-    class _Table(dict):
-        def __init__(self, inner, memory, uid_to_ref):
-            super().__init__(inner)
-            self._memory = memory
-            self._uid_to_ref = uid_to_ref
-
-        def __getitem__(self, uid):
-            self._memory.current_ref = self._uid_to_ref.get(uid)
-            return super().__getitem__(uid)
-
-    def __init__(self, streams, memory, uid_to_ref) -> None:
-        self.by_ref = self._Table(streams.by_ref, memory, uid_to_ref)
-        self.lookahead = streams.lookahead
+    def emit(self, event) -> None:
+        if event.kind == "load":
+            self.profile.record(
+                self.ref_by_tag[event.tag], event.level, event.latency
+            )
 
 
 def collect_miss_profile(
@@ -164,25 +148,23 @@ def collect_miss_profile(
     compiled = LoopCompiler(machine, config).compile(loop)
     result = compiled.result
 
-    profile = MissProfile()
-    memory = _SamplingMemory(machine.description, profile)
-    uid_to_ref = {
-        inst.memref.uid: inst.memref
-        for inst in result.loop.body
-        if inst.memref is not None
-    }
-
     setup = prepare_execution(result, machine)
-    total = sum(trip_counts)
-    streams = build_streams(result.loop, layout, total, seed=seed)
-    tagged = _TaggingStreams(streams, memory, uid_to_ref)
+    profile = MissProfile()
+    sampler = _LoadSampler(profile, {
+        op.tag: op.inst.memref
+        for op in setup.ops
+        if op.inst.memref is not None
+    })
+    memory = machine.memory_system()
+    streams = build_streams(result.loop, layout, sum(trip_counts), seed=seed)
     counters = PerfCounters()
 
     base = 0
     cycle = 0.0
     for n in trip_counts:
         cycle = run_iterations(
-            setup, tagged, base, n, memory, machine, counters, cycle,
+            setup, streams, base, n, memory, machine, counters, cycle,
+            sampler,
         )
         base += n
     return profile

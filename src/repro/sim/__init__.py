@@ -12,13 +12,14 @@ paper's optimization exploits and stresses:
   when its 48 entries fill up, issue stalls (the
   ``BE_L1D_FPU_BUBBLE``/``L2D_OZQ_FULL`` growth of Fig. 10);
 * **caches and the TLB** — set-associative L1D/L2/L3 with realistic
-  latencies; software prefetches are dropped on TLB misses, which is why
-  the prefetcher limits distances for page-hopping references (Sec. 3.2).
+  latencies; demand and prefetch TLB misses both pay the walk and evict
+  translations, which is why the prefetcher limits distances for
+  page-hopping references (Sec. 3.2).
 """
 
 from repro.sim.cache import Cache
 from repro.sim.tlb import TLB
-from repro.sim.memory import MemorySystem, AccessResult
+from repro.sim.memory import MemorySystem
 from repro.sim.counters import PerfCounters
 from repro.sim.address import (
     Region,
@@ -33,7 +34,6 @@ __all__ = [
     "Cache",
     "TLB",
     "MemorySystem",
-    "AccessResult",
     "PerfCounters",
     "Region",
     "AddressMap",

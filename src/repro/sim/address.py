@@ -90,9 +90,9 @@ class LoopStreams:
     #: reference uid -> address array (length n_iters + lookahead)
     by_ref: dict[int, np.ndarray] = field(default_factory=dict)
     lookahead: int = 0
-    #: lazily-built plain-list form of each stream, shared across
-    #: invocations by the fast replayer (scalar list indexing beats
-    #: per-access numpy scalar extraction by an order of magnitude);
+    #: lazily-built plain-list form of each stream, which the interpreter
+    #: indexes across every invocation of a run (scalar list indexing
+    #: beats per-access numpy scalar extraction by an order of magnitude);
     #: keyed by ``id(array)`` so line-group members sharing one array
     #: convert once
     _list_cache: dict = field(default_factory=dict, repr=False, compare=False)

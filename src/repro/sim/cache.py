@@ -14,7 +14,11 @@ from repro.machine.description import CacheLevel
 
 
 class Cache:
-    """One level of the hierarchy, shaped by a :class:`CacheLevel`."""
+    """One level of the hierarchy, shaped by a :class:`CacheLevel`.
+
+    :class:`~repro.sim.memory.MemorySystem` inlines the L1D hit path of
+    :meth:`lookup` against ``_sets``, which :meth:`reset` clears in place.
+    """
 
     def __init__(self, geometry: CacheLevel) -> None:
         self.geometry = geometry

@@ -15,8 +15,8 @@ top of the static schedule:
   until completion; when all entries are busy, issue of the next memory
   operation stalls (``BE_L1D_FPU_BUBBLE``).  Prefetches finding the queue
   full are dropped, as hardware drops hints;
-* **TLB** — demand misses add the walk penalty; prefetches missing the
-  TLB are dropped.
+* **TLB** — demand and prefetch misses both add the walk penalty and
+  install the translation (the hardware walker services ``lfetch`` too).
 
 Non-pipelined loops run through the same machinery with ``II`` equal to
 the list-schedule length and a single stage.
@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from repro.ddg.edges import DepKind
@@ -163,14 +164,18 @@ def run_iterations(
     counters: PerfCounters,
     start_cycle: float = 0.0,
     sink=None,
+    restart_uids: Collection[int] = (),
 ) -> float:
     """Execute ``n`` source iterations; returns the finish cycle.
 
-    ``stream_base`` indexes the address streams for this invocation's
-    first iteration (streams are shared across invocations).  ``sink``
-    receives :mod:`repro.trace.events` as execution proceeds; its
-    interest flags are hoisted into locals here, so a ``None`` sink (or
-    one that wants nothing) costs a few branch tests per op.
+    The address streams are shared across invocations: a streaming
+    reference reads this invocation's first iteration at ``stream_base``,
+    a reference in ``restart_uids`` (a reused space) at position 0.
+    ``sink`` receives :mod:`repro.trace.events` as execution proceeds;
+    its interest flags are hoisted into locals here, so a ``None`` sink
+    (or one that wants nothing) costs a few branch tests per op.  A sink
+    that wants memory events gets a ``CacheFill`` directly before every
+    ``LoadIssue``/``StoreIssue``/``PrefetchIssue``.
 
     ``machine`` supplies the OzQ depth and the
     :class:`~repro.machine.description.QueueDiscipline` and
@@ -181,7 +186,6 @@ def run_iterations(
     if n <= 0:
         return start_cycle
     ii = setup.ii
-    ops = setup.ops
     kernel_iters = n + setup.stage_count - 1
 
     ozq_capacity = machine.ozq_capacity
@@ -237,29 +241,50 @@ def run_iterations(
                     sink.emit(ev.OzqFull(cycle=became_full_at, duration=full))
                 became_full_at = None
 
-    def push(completion: float, now: float) -> None:
-        nonlocal became_full_at, ozq_seq
-        heapq.heappush(ozq, (completion, ozq_seq))
-        ozq_seq += 1
-        if len(ozq) >= ozq_capacity and became_full_at is None:
-            became_full_at = now
-
-    streams_by_uid = streams.by_ref
+    # every op unpacked once per call: its waits bound to the completion
+    # arrays they read, its stream as a list of Python ints (indexing a
+    # list is an order of magnitude cheaper than a numpy scalar) and the
+    # position its first iteration reads.  A register op that waits on
+    # no load changes nothing, so it is left out unless issues are traced
+    plan = []
+    for op in setup.ops:
+        ref = op.inst.memref
+        uid = op.ref_uid
+        if uid < 0 and not op.waits and not emit_issues:
+            continue
+        plan.append((
+            op.row, op.stage, op.tag,
+            tuple((completions[slot], omega, slot)
+                  for slot, omega in op.waits),
+            None if uid < 0 else streams.as_list(uid),
+            0 if uid in restart_uids else stream_base,
+            op.is_prefetch, op.is_load, op.is_fp,
+            completions[op.load_slot] if op.is_load else None, op.load_slot,
+            op.prefetch_distance, op.prefetch_l2_only,
+            ref.name if ref is not None else "",
+            ("prefetch" if op.is_prefetch else "load" if op.is_load
+             else "store" if op.is_store else "alu"),
+        ))
+    load, store, prefetch = memory.load, memory.store, memory.prefetch
+    loads_by_level = counters.loads_by_level
+    heappush = heapq.heappush
 
     for k in range(kernel_iters):
         base = start_cycle + k * ii
-        for op in ops:
-            i = k - op.stage
+        for (row, stage, tag, waits, stream, offset, is_prefetch, is_load,
+             is_fp, done, slot, distance, l2_only, ref_name,
+             op_kind) in plan:
+            i = k - stage
             if i < 0 or i >= n:
                 continue
-            now = base + op.row + stall
+            now = base + row + stall
 
             # stall-on-use: wait for load-produced operands
-            for slot, omega in op.waits:
+            for source, omega, source_slot in waits:
                 j = i - omega
                 if j < 0:
                     continue
-                ready = completions[slot][j]
+                ready = source[j]
                 if ready > now:
                     wait = ready - now
                     if window:
@@ -272,42 +297,39 @@ def run_iterations(
                     if wait > 0.0:
                         if emit_stalls:
                             sink.emit(ev.UseStall(
-                                cycle=now, consumer=op.tag, slot=slot,
+                                cycle=now, consumer=tag, slot=source_slot,
                                 source_iter=j, wait=wait,
                                 inflight=sum(1 for c in ozq if c[0] > now),
                             ))
                         stall += wait
                         now += wait
                         counters.be_exe_bubble += wait
-                        counters.attribute_stall(op.tag, wait)
+                        counters.attribute_stall(tag, wait)
                 elif emit_uses:
                     sink.emit(ev.UseReady(
-                        cycle=now, consumer=op.tag, slot=slot, source_iter=j,
+                        cycle=now, consumer=tag, slot=source_slot,
+                        source_iter=j,
                     ))
 
             if emit_issues:
                 sink.emit(ev.OpIssue(
-                    cycle=now, tag=op.tag, row=op.row, stage=op.stage,
-                    kernel_iter=k, source_iter=i,
-                    op_kind=("prefetch" if op.is_prefetch
-                             else "load" if op.is_load
-                             else "store" if op.is_store else "alu"),
+                    cycle=now, tag=tag, row=row, stage=stage,
+                    kernel_iter=k, source_iter=i, op_kind=op_kind,
                 ))
 
-            if op.ref_uid < 0:
+            if stream is None:
                 continue  # pure register op: issue costs are in the schedule
 
             # free completed OzQ entries
             if ozq and ozq[0][0] <= now:
                 drain(now)
 
-            stream = streams_by_uid[op.ref_uid]
-            if op.is_prefetch:
-                pos = stream_base + i + op.prefetch_distance
+            if is_prefetch:
+                pos = offset + i + distance
                 if pos >= len(stream):
                     if emit_memory:
                         sink.emit(ev.PrefetchDrop(
-                            cycle=now, tag=op.tag, reason="stream-end",
+                            cycle=now, tag=tag, reason="stream-end",
                         ))
                     continue
                 if len(ozq) >= ozq_capacity:
@@ -315,89 +337,96 @@ def run_iterations(
                     counters.prefetches_dropped_ozq += 1
                     if emit_memory:
                         sink.emit(ev.PrefetchDrop(
-                            cycle=now, tag=op.tag, reason="ozq-full",
+                            cycle=now, tag=tag, reason="ozq-full",
                         ))
                     continue
-                addr = int(stream[pos])
-                res = memory.prefetch(
-                    addr, now, op.prefetch_l2_only, op.is_fp
-                )
+                addr = stream[pos]
+                latency, level, occupies = prefetch(addr, now, l2_only, is_fp)
                 counters.prefetches_issued += 1
                 if emit_memory:
-                    sink.emit(ev.PrefetchIssue(
-                        cycle=now, tag=op.tag,
-                        ref=op.inst.memref.name if op.inst.memref else "",
-                        addr=addr, level=res.level, latency=res.latency,
-                        occupies_ozq=res.occupies_ozq,
+                    sink.emit(ev.CacheFill(
+                        cycle=now, access="prefetch", addr=addr,
+                        level=level, latency=latency,
                     ))
-                if res.occupies_ozq:
-                    push(now + res.latency, now)
-                continue
-
-            # demand access: stall while the OzQ is full
-            if len(ozq) >= ozq_capacity:
-                wait = ozq[0][0] - now
-                if wait > 0:
-                    if emit_stalls:
-                        sink.emit(ev.OzqStall(cycle=now, tag=op.tag, wait=wait))
-                    stall += wait
-                    now += wait
-                    counters.be_l1d_fpu_bubble += wait
-                drain(now)
-
-            addr = int(stream[stream_base + i])
-            if op.is_load:
-                if slsq:
-                    # allocation-order disambiguation: the load issued
-                    # speculatively `runahead` cycles ago, so any older
-                    # store to the same address issued since then had an
-                    # unknown address at speculation time — a violation
-                    # that replays the load
-                    if store_window:
-                        horizon = now - runahead
-                        store_window[:] = [
-                            entry for entry in store_window
-                            if entry[0] > horizon
-                        ]
-                        for _issued, stored in store_window:
-                            if stored == addr:
-                                counters.slsq_replays += 1
-                                counters.slsq_replay_cycles += replay_penalty
-                                counters.be_flush_bubble += replay_penalty
-                                stall += replay_penalty
-                                now += replay_penalty
-                                break
-                    res = memory.load(addr, now, op.is_fp)
-                    # runahead issue hides the leading latency cycles
-                    effective = res.latency - runahead
-                    if effective < 1.0:
-                        effective = 1.0
-                    completions[op.load_slot][i] = now + effective
-                else:
-                    res = memory.load(addr, now, op.is_fp)
-                    completions[op.load_slot][i] = now + res.latency
-                counters.record_load_level(res.level)
-                if emit_memory:
-                    sink.emit(ev.LoadIssue(
-                        cycle=now, tag=op.tag, slot=op.load_slot,
-                        source_iter=i,
-                        ref=op.inst.memref.name if op.inst.memref else "",
-                        addr=addr, level=res.level, latency=res.latency,
-                        occupies_ozq=res.occupies_ozq,
+                    sink.emit(ev.PrefetchIssue(
+                        cycle=now, tag=tag, ref=ref_name, addr=addr,
+                        level=level, latency=latency, occupies_ozq=occupies,
                     ))
             else:
-                res = memory.store(addr, now, op.is_fp)
-                if slsq:
-                    store_window.append((now, addr))
-                if emit_memory:
-                    sink.emit(ev.StoreIssue(
-                        cycle=now, tag=op.tag,
-                        ref=op.inst.memref.name if op.inst.memref else "",
-                        addr=addr, level=res.level, latency=res.latency,
-                        occupies_ozq=res.occupies_ozq,
-                    ))
-            if res.occupies_ozq:
-                push(now + res.latency, now)
+                # demand access: stall while the OzQ is full
+                if len(ozq) >= ozq_capacity:
+                    wait = ozq[0][0] - now
+                    if wait > 0:
+                        if emit_stalls:
+                            sink.emit(ev.OzqStall(
+                                cycle=now, tag=tag, wait=wait,
+                            ))
+                        stall += wait
+                        now += wait
+                        counters.be_l1d_fpu_bubble += wait
+                    drain(now)
+
+                addr = stream[offset + i]
+                if is_load:
+                    if slsq:
+                        # allocation-order disambiguation: the load issued
+                        # speculatively `runahead` cycles ago, so any older
+                        # store to the same address issued since then had
+                        # an unknown address at speculation time — a
+                        # violation that replays the load
+                        if store_window:
+                            horizon = now - runahead
+                            store_window[:] = [
+                                entry for entry in store_window
+                                if entry[0] > horizon
+                            ]
+                            for _issued, stored in store_window:
+                                if stored == addr:
+                                    counters.slsq_replays += 1
+                                    counters.slsq_replay_cycles += replay_penalty
+                                    counters.be_flush_bubble += replay_penalty
+                                    stall += replay_penalty
+                                    now += replay_penalty
+                                    break
+                        latency, level, occupies = load(addr, now, is_fp)
+                        # runahead issue hides the leading latency cycles
+                        effective = latency - runahead
+                        if effective < 1.0:
+                            effective = 1.0
+                        done[i] = now + effective
+                    else:
+                        latency, level, occupies = load(addr, now, is_fp)
+                        done[i] = now + latency
+                    loads_by_level[level] = loads_by_level.get(level, 0) + 1
+                    if emit_memory:
+                        sink.emit(ev.CacheFill(
+                            cycle=now, access="load", addr=addr,
+                            level=level, latency=latency,
+                        ))
+                        sink.emit(ev.LoadIssue(
+                            cycle=now, tag=tag, slot=slot, source_iter=i,
+                            ref=ref_name, addr=addr, level=level,
+                            latency=latency, occupies_ozq=occupies,
+                        ))
+                else:
+                    latency, level, occupies = store(addr, now, is_fp)
+                    if slsq:
+                        store_window.append((now, addr))
+                    if emit_memory:
+                        sink.emit(ev.CacheFill(
+                            cycle=now, access="store", addr=addr,
+                            level=level, latency=latency,
+                        ))
+                        sink.emit(ev.StoreIssue(
+                            cycle=now, tag=tag, ref=ref_name, addr=addr,
+                            level=level, latency=latency,
+                            occupies_ozq=occupies,
+                        ))
+            if occupies:
+                heappush(ozq, (now + latency, ozq_seq))
+                ozq_seq += 1
+                if len(ozq) >= ozq_capacity and became_full_at is None:
+                    became_full_at = now
 
     counters.unstalled += kernel_iters * ii
     counters.kernel_iterations += kernel_iters

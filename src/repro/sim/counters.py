@@ -70,9 +70,6 @@ class PerfCounters:
     def stall_cycles(self) -> float:
         return self.total_cycles - self.unstalled
 
-    def record_load_level(self, level: int) -> None:
-        self.loads_by_level[level] = self.loads_by_level.get(level, 0) + 1
-
     def merge(self, other: "PerfCounters") -> None:
         self.unstalled += other.unstalled
         self.be_exe_bubble += other.be_exe_bubble

@@ -66,10 +66,9 @@ def simulate_loop(
 
     The run starts from a fresh ``machine.memory_system()``.  ``sink``
     (a :class:`repro.trace.events.TraceSink`) receives the structured
-    event stream; it is attached to the memory system only after the
-    cache pre-warm so one-time warm-up fills stay out of traces.
-    ``sink=None`` keeps the run event-free and bit-identical to an
-    untraced one.
+    event stream of the invocations; the cache pre-warm emits nothing,
+    so one-time warm-up fills stay out of traces.  ``sink=None`` keeps
+    the run event-free and bit-identical to an untraced one.
     """
     counters = counters if counters is not None else PerfCounters()
     memory = machine.memory_system()
@@ -80,22 +79,17 @@ def simulate_loop(
     )
 
     _prewarm_resident_regions(result, layout, streams, memory)
-    if sink is not None:
-        memory.sink = sink
 
     cycle = 0.0
     running_base = 0
     for n in trips:
         cycle += _invocation_overhead(result, counters)
-        cycle = _run_invocation(
-            setup, streams, restart_uids, running_base, n, memory, machine,
-            counters, cycle, sink,
+        cycle = run_iterations(
+            setup, streams, running_base, n, memory, machine, counters,
+            cycle, sink, restart_uids=restart_uids,
         )
         running_base += n
         counters.invocations += 1
-
-    if sink is not None:
-        memory.sink = None
 
     return LoopRunResult(
         loop_name=result.loop.name,
@@ -186,37 +180,3 @@ def _prewarm_resident_regions(
                 continue
             seen.add(int(addr))
             memory.load(int(addr) * line, now=-1e9, is_fp=ref.is_fp)
-
-
-def _run_invocation(
-    setup: ExecutionSetup,
-    streams: LoopStreams,
-    restart_uids: set[int],
-    running_base: int,
-    n: int,
-    memory: MemorySystem,
-    machine: ItaniumMachine,
-    counters: PerfCounters,
-    cycle: float,
-    sink=None,
-) -> float:
-    """One invocation; restarting spaces read from stream position 0."""
-    if not restart_uids:
-        return run_iterations(
-            setup, streams, running_base, n, memory, machine, counters,
-            cycle, sink,
-        )
-    if len(restart_uids) == len(streams.by_ref):
-        return run_iterations(
-            setup, streams, 0, n, memory, machine, counters, cycle, sink,
-        )
-    # mixed: give restarting refs a view shifted to the invocation start
-    mixed = LoopStreams(lookahead=streams.lookahead)
-    for uid, arr in streams.by_ref.items():
-        if uid in restart_uids:
-            mixed.by_ref[uid] = arr
-        else:
-            mixed.by_ref[uid] = arr[running_base:]
-    return run_iterations(
-        setup, mixed, 0, n, memory, machine, counters, cycle, sink,
-    )

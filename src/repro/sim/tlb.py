@@ -1,10 +1,11 @@
 """Data TLB model.
 
-Software prefetches (``lfetch``) are dropped when they miss the TLB — the
-hardware will not take a fault or walk the page table on a hint.  This is
-the mechanism behind prefetch-distance limiting for symbolically-strided
-and indirect references (Sec. 3.2, rules 2a/2b): prefetching far ahead
-through many pages evicts TLB entries and the prefetches stop landing.
+Demand accesses and software prefetches (``lfetch``) alike pay the walk
+penalty on a miss and install the translation: the hardware VHPT walker
+services both.  Prefetching far ahead through many pages therefore evicts
+entries the demand stream still needs and adds walk traffic, which is why
+the prefetcher limits distances for symbolically-strided and indirect
+references (Sec. 3.2, rules 2a/2b).
 """
 
 from __future__ import annotations
@@ -15,7 +16,11 @@ from repro.machine.description import TlbGeometry
 
 
 class TLB:
-    """Fully-associative LRU data TLB, shaped by a :class:`TlbGeometry`."""
+    """Fully-associative LRU data TLB, shaped by a :class:`TlbGeometry`.
+
+    :class:`~repro.sim.memory.MemorySystem` inlines the hit path of
+    :meth:`access` against ``_pages``, which :meth:`reset` clears in place.
+    """
 
     def __init__(self, geometry: TlbGeometry) -> None:
         self.geometry = geometry
@@ -27,12 +32,9 @@ class TLB:
         self.hits = 0
         self.misses = 0
 
-    def _page(self, addr: int) -> int:
-        return addr // self._page_size
-
     def access(self, addr: int) -> int:
-        """Demand access: returns the added penalty (0 on a hit)."""
-        page = addr // self._page_size  # _page inlined: hot path
+        """Translate ``addr``: returns the added penalty (0 on a hit)."""
+        page = addr // self._page_size
         if page in self._pages:
             self._pages.move_to_end(page)
             self.hits += 1
@@ -42,16 +44,6 @@ class TLB:
             self._pages.popitem(last=False)
         self._pages[page] = None
         return self._penalty
-
-    def probe(self, addr: int) -> bool:
-        """Non-faulting probe used by prefetches; does not refill."""
-        page = self._page(addr)
-        if page in self._pages:
-            self._pages.move_to_end(page)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
 
     def reset(self) -> None:
         self._pages.clear()

@@ -1,6 +1,6 @@
 """The trace event vocabulary and the sink protocol.
 
-The simulator (:mod:`repro.sim.core`, :mod:`repro.sim.memory`) emits a
+The interpreter (:func:`repro.sim.core.run_iterations`) emits a
 structured event stream describing *why* each cycle was spent: operation
 issue, stall-on-use with the culprit load instance, OzQ-full stalls,
 cache fills with the satisfying level, and prefetch issue/drop.  Emission
@@ -153,7 +153,8 @@ class PrefetchDrop(TraceEvent):
 class CacheFill(TraceEvent):
     """One hierarchy access resolved by :class:`repro.sim.memory
     .MemorySystem`: the satisfying level and the resulting latency.
-    ``access`` is ``"load"``/``"store"``/``"prefetch"``."""
+    ``access`` is ``"load"``/``"store"``/``"prefetch"``; the event comes
+    directly before the issue event of the same access."""
 
     kind: ClassVar[str] = "fill"
     access: str

@@ -157,11 +157,11 @@ def test_memory_system_takes_non_default_geometry_from_description():
     base = 0x100000
     for addr in (base, base + 64, base + 4 * 64):
         memory.load(addr, now=0, is_fp=True)  # warm the L2 and the TLB
-    first = memory.load(base, now=1000, is_fp=True)
-    other_bank = memory.load(base + 64, now=1000, is_fp=True)
-    same_bank = memory.load(base + 4 * 64, now=1000, is_fp=True)
-    assert other_bank.latency == first.latency
-    assert same_bank.latency == first.latency + 3.0
+    first, _, _ = memory.load(base, now=1000, is_fp=True)
+    other_bank, _, _ = memory.load(base + 64, now=1000, is_fp=True)
+    same_bank, _, _ = memory.load(base + 4 * 64, now=1000, is_fp=True)
+    assert other_bank == first
+    assert same_bank == first + 3.0
     assert memory.bank_conflict_count == 1
 
 

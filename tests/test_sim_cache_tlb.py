@@ -80,16 +80,9 @@ class TestTLB:
         tlb.access(2 * 16384)  # evicts page 0
         assert tlb.access(0) == tlb.geometry.miss_penalty
 
-    def test_probe_does_not_fill(self):
-        tlb = TLB(TlbGeometry(entries=4))
-        assert not tlb.probe(0)
-        assert not tlb.probe(0)  # still not resident
-        tlb.access(0)
-        assert tlb.probe(0)
-
     def test_reset(self):
         tlb = TLB(TlbGeometry())
         tlb.access(0)
         tlb.reset()
-        assert not tlb.probe(0)
-        assert tlb.hits == 0
+        assert tlb.hits == 0 and tlb.misses == 0
+        assert tlb.access(0) == tlb.geometry.miss_penalty  # not resident

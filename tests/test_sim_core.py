@@ -18,7 +18,7 @@ from repro.pipeliner import pipeline_loop
 from repro.sim import prepare_execution, run_iterations
 from repro.sim.address import StreamSpec, build_streams
 from repro.sim.counters import PerfCounters
-from repro.sim.memory import AccessResult, MemorySystem
+from repro.sim.memory import MemorySystem
 from tests.conftest import RUNNING_EXAMPLE
 
 
@@ -30,13 +30,13 @@ class FixedLatencyMemory(MemorySystem):
         self.fixed = float(latency)
 
     def load(self, addr, now, is_fp=False):
-        return AccessResult(self.fixed, 3, True)
+        return (self.fixed, 3, True)
 
     def store(self, addr, now, is_fp=False):
-        return AccessResult(1.0, 2, False)
+        return (1.0, 2, False)
 
     def prefetch(self, addr, now, l2_only=False, is_fp=False):
-        return AccessResult(0.0, 1, False)
+        return (0.0, 1, False)
 
 
 LAYOUT = {
@@ -172,10 +172,8 @@ class TestStallAttribution:
 
 class TestCountersPlumbing:
     def test_merge_and_scaled(self):
-        a = PerfCounters(unstalled=10, be_exe_bubble=5)
-        a.record_load_level(2)
-        b = PerfCounters(unstalled=1, be_exe_bubble=2)
-        b.record_load_level(2)
+        a = PerfCounters(unstalled=10, be_exe_bubble=5, loads_by_level={2: 1})
+        b = PerfCounters(unstalled=1, be_exe_bubble=2, loads_by_level={2: 1})
         b.attribute_stall("x", 3.0)
         a.merge(b)
         assert a.unstalled == 11

@@ -5,8 +5,9 @@ import pytest
 
 from repro.config import CompilerConfig, baseline_config
 from repro.core.compiler import LoopCompiler
-from repro.sim import simulate_loop
-from repro.sim.executor import FLUSH_CYCLES, FRONTEND_CYCLES
+from repro.sim import run_iterations, simulate_loop
+from repro.sim.counters import PerfCounters
+from repro.sim.executor import FLUSH_CYCLES, FRONTEND_CYCLES, _lower
 from repro.workloads.loops import low_trip_linear, pointer_chase, stream_int
 
 
@@ -56,12 +57,32 @@ class TestSimulateLoop:
         assert run.counters.be_exe_bubble > 1000
 
     def test_cache_state_persists_across_invocations(self, machine):
+        """Two invocations over one memory system, without the pre-warm:
+        the second rereads the reused space from the caches the first
+        filled, so it hits more and runs faster."""
         loop, layout = stream_int("s", streams=1, working_set=32 * 1024,
                                   reuse=True)
         loop.trip_count.estimate = 100.0
         result = _compile(loop, machine, baseline_config().with_(prefetch=False))
-        c1 = simulate_loop(result, machine, layout, [100])
-        assert c1.cycles > 0
+        setup, streams, restart_uids = _lower(
+            result, machine, layout, [100, 100], seed=11
+        )
+        assert restart_uids
+        memory = machine.memory_system()
+        first, second = PerfCounters(), PerfCounters()
+        end1 = run_iterations(setup, streams, 0, 100, memory, machine, first,
+                              restart_uids=restart_uids)
+        end2 = run_iterations(setup, streams, 100, 100, memory, machine,
+                              second, end1, restart_uids=restart_uids)
+
+        def near_hits(counters):
+            levels = counters.loads_by_level
+            return levels.get(1, 0) + levels.get(2, 0)
+
+        assert near_hits(second) > near_hits(first)
+        assert first.loads_by_level.get(4, 0) > 0
+        assert second.loads_by_level.get(4, 0) == 0
+        assert end2 - end1 < end1
 
     def test_deterministic(self, machine):
         loop, layout = pointer_chase("m", heap=1 << 20)

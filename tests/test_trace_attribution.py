@@ -17,7 +17,7 @@ from repro.pipeliner import pipeline_loop
 from repro.sim import prepare_execution, run_iterations, simulate_loop
 from repro.sim.address import StreamSpec, build_streams
 from repro.sim.counters import PerfCounters
-from repro.sim.memory import AccessResult, MemorySystem
+from repro.sim.memory import MemorySystem
 from repro.trace import (
     CaptureSink,
     StallAttribution,
@@ -37,13 +37,13 @@ class FixedLatencyMemory(MemorySystem):
         self.fixed = float(latency)
 
     def load(self, addr, now, is_fp=False):
-        return AccessResult(self.fixed, 3, True)
+        return (self.fixed, 3, True)
 
     def store(self, addr, now, is_fp=False):
-        return AccessResult(1.0, 2, False)
+        return (1.0, 2, False)
 
     def prefetch(self, addr, now, l2_only=False, is_fp=False):
-        return AccessResult(0.0, 1, False)
+        return (0.0, 1, False)
 
 
 LAYOUT = {

@@ -1,6 +1,6 @@
 """Tests for the trace event vocabulary and the sink zoo."""
 
-from repro.config import baseline_config
+from repro.config import CompilerConfig, baseline_config
 from repro.ir import parse_loop
 from repro.machine import ItaniumMachine
 from repro.pipeliner import pipeline_loop
@@ -8,6 +8,7 @@ from repro.sim import prepare_execution, run_iterations
 from repro.sim.address import StreamSpec, build_streams
 from repro.sim.counters import PerfCounters
 from repro.trace import (
+    CacheFill,
     CaptureSink,
     CountingSink,
     LoadIssue,
@@ -33,10 +34,9 @@ def simulate(sink, n=200):
     setup = prepare_execution(result, machine)
     streams = build_streams(loop, LAYOUT, n)
     counters = PerfCounters()
-    memory = machine.memory_system()
-    memory.sink = sink
     cycles = run_iterations(
-        setup, streams, 0, n, memory, machine, counters, sink=sink,
+        setup, streams, 0, n, machine.memory_system(), machine, counters,
+        sink=sink,
     )
     return cycles, counters
 
@@ -143,3 +143,40 @@ class TestEventSemantics:
         issues = [e for e in sink.events if isinstance(e, OpIssue)]
         loads = [e for e in issues if e.op_kind == "load"]
         assert sorted(e.source_iter for e in loads) == list(range(50))
+
+    def test_every_access_is_preceded_by_its_cache_fill(self):
+        """The interpreter emits each ``CacheFill`` directly before the
+        issue event of the same access, with the same address, level and
+        latency — and nothing else emits fills."""
+        from repro.core.compiler import LoopCompiler
+        from repro.harness.jobs import collect_profile
+        from repro.sim import simulate_loop
+        from repro.workloads import micro_suite
+
+        machine = ItaniumMachine()
+        config = CompilerConfig(trip_count_threshold=32)  # prefetching on
+        seen = set()
+        for bench in micro_suite():
+            profile = collect_profile(bench, seed=2008)
+            for lw in bench.loops:
+                loop, layout = lw.build()
+                compiled = LoopCompiler(machine, config).compile(loop, profile)
+                sink = CaptureSink()
+                simulate_loop(compiled.result, machine, layout, [60, 40],
+                              seed=7, sink=sink)
+                events = sink.events
+                for pos, event in enumerate(events):
+                    if event.kind not in ("load", "store", "prefetch"):
+                        assert event.kind != "fill" or (
+                            events[pos + 1].kind
+                            in ("load", "store", "prefetch")
+                        )
+                        continue
+                    fill = events[pos - 1]
+                    assert isinstance(fill, CacheFill)
+                    assert (fill.access, fill.cycle, fill.addr, fill.level,
+                            fill.latency) == (event.kind, event.cycle,
+                                              event.addr, event.level,
+                                              event.latency)
+                    seen.add(event.kind)
+        assert seen == {"load", "store", "prefetch"}

@@ -32,12 +32,9 @@ from repro.config import baseline_config
 from repro.core.compiler import LoopCompiler
 from repro.harness.jobs import collect_profile, sample_trips
 from repro.machine.itanium2 import ItaniumMachine
+from repro.sim.core import run_iterations
 from repro.sim.counters import PerfCounters
-from repro.sim.executor import (
-    _lower,
-    _prewarm_resident_regions,
-    _run_invocation,
-)
+from repro.sim.executor import _lower, _prewarm_resident_regions
 from repro.workloads.spec import suite_by_name
 
 
@@ -88,9 +85,9 @@ def _replay(p: _Prepared, machine: ItaniumMachine, profiler: cProfile.Profile):
     base = 0
     profiler.enable()
     for n in p.trips:
-        cycle = _run_invocation(
-            p.setup, p.streams, p.restart_uids, base, n, memory, machine,
-            counters, cycle,
+        cycle = run_iterations(
+            p.setup, p.streams, base, n, memory, machine, counters, cycle,
+            restart_uids=p.restart_uids,
         )
         base += n
     profiler.disable()
@@ -173,9 +170,15 @@ def write_markdown(
         "",
         "## Reading the baseline",
         "",
-        "- Most self-time sits in the per-reference memory walk "
-        "(`MemorySystem` and the cache/TLB lookups under it) and the "
-        "per-cycle dispatch of `run_iterations`.",
+        "- Most self-time sits in the per-cycle dispatch of "
+        "`run_iterations` and in `MemorySystem.load`/`prefetch`.  "
+        "`run_iterations` unpacks each op into a local tuple once per "
+        "call and indexes the address streams as Python lists.",
+        "- `load` and `prefetch` inline the TLB and L1D hit paths, so "
+        "`TLB.access` and `Cache.lookup` run only on TLB misses, on "
+        "stores and below the L1D.  Every access returns a plain "
+        "`(latency, level, occupies_ozq)` tuple, and trace events are "
+        "built only when a sink asks for them.",
         "- `Cache.lookup` computes the tag and set index inline from the "
         "line size and set count fixed at construction, so the walk pays "
         "no per-access geometry calls.",
