@@ -9,8 +9,6 @@ separates the two — except when training and reference inputs disagree
 Run:  python examples/headroom_sweep.py        (~1 minute)
 """
 
-import tempfile
-
 from repro.config import CompilerConfig, HintPolicy, baseline_config
 from repro.core import format_gain_table
 from repro.harness import compare_configs, run_suite
@@ -34,15 +32,13 @@ def main() -> None:
         hint_policy=HintPolicy.HLO, trip_count_threshold=32, name="hlo"
     )
 
-    # one grid; the scratch cache lets every column reuse the baseline
-    # run that prices its serial cycles
-    with tempfile.TemporaryDirectory() as cache:
-        run = run_suite(
-            [benchmark_by_name(n) for n in BENCHMARKS],
-            [base, *columns.values()],
-            seed=2008,
-            cache=cache,
-        )
+    # one grid: every column reuses the baseline run that prices its
+    # serial cycles
+    run = run_suite(
+        [benchmark_by_name(n) for n in BENCHMARKS],
+        [base, *columns.values()],
+        seed=2008,
+    )
     sweep = {
         column: compare_configs(run, base.label, cfg.label)
         for column, cfg in columns.items()

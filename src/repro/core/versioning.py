@@ -22,17 +22,9 @@ from repro.hlo.profiles import BlockProfile
 from repro.ir.loop import Loop
 from repro.machine.itanium2 import ItaniumMachine
 from repro.sim.address import StreamSpec
-from repro.sim.core import run_iterations
-from repro.sim.counters import PerfCounters
-from repro.sim.executor import (
-    LoopRunResult,
-    _invocation_overhead,
-    _lower,
-    _prewarm_resident_regions,
-)
-
-#: cycles of the runtime trip-count test + branch selecting the version
-VERSION_CHECK_CYCLES = 2.0
+# VERSION_CHECK_CYCLES is re-exported: the executor charges it, callers
+# of this module import it from here
+from repro.sim.executor import VERSION_CHECK_CYCLES, LoopRunResult, simulate_loop
 
 
 @dataclass
@@ -92,43 +84,19 @@ def simulate_versioned(
     """Execute a versioned loop, switching per invocation at run time.
 
     Both versions share the cache and TLB state, exactly as the two
-    kernels of one function would.  Every invocation pays the version's
-    usual loop overheads (those of :func:`~repro.sim.executor.simulate_loop`)
-    plus a small version-check cost, so a versioned loop that always
-    picks one version costs that version's plain run plus the checks.
+    kernels of one function would: this is one
+    :func:`~repro.sim.executor.simulate_loop` run with the conventional
+    version as its ``fallback``, so every invocation pays the version's
+    usual loop overheads plus :data:`VERSION_CHECK_CYCLES`, and a
+    versioned loop that always picks one version costs that version's
+    plain run plus the checks.
     """
-    memory = machine.memory_system()
-    counters = PerfCounters()
-    trips = [int(t) for t in trip_counts]
-    boosted = _lower(versioned.boosted.result, machine, layout, trips, seed)
-    fallback = _lower(versioned.fallback.result, machine, layout, trips, seed)
-    _prewarm_resident_regions(
-        versioned.boosted.result, layout, boosted[1], memory
-    )
-
-    cycle = 0.0
-    running_base = 0
-    for n in trips:
-        compiled = versioned.pick(n)
-        setup, streams, restart_uids = (
-            boosted if compiled is versioned.boosted else fallback
-        )
-        cycle += (
-            _invocation_overhead(compiled.result, counters)
-            + VERSION_CHECK_CYCLES
-        )
-        counters.unstalled += VERSION_CHECK_CYCLES
-        cycle = run_iterations(
-            setup, streams, running_base, n, memory, machine, counters,
-            cycle, restart_uids=restart_uids,
-        )
-        running_base += n
-        counters.invocations += 1
-
-    return LoopRunResult(
-        loop_name=versioned.boosted.loop.name,
-        cycles=cycle,
-        counters=counters,
-        invocations=len(trips),
-        total_iterations=sum(trips),
+    return simulate_loop(
+        versioned.boosted.result,
+        machine,
+        layout,
+        trip_counts,
+        seed=seed,
+        fallback=versioned.fallback.result,
+        threshold=versioned.threshold,
     )

@@ -34,10 +34,6 @@ from repro.sim.counters import PerfCounters
 from repro.sim.executor import simulate_loop
 from repro.workloads.spec import Benchmark
 
-#: sentinel: "derive the profile from the benchmark iff the config wants PGO"
-_AUTO_PROFILE = object()
-
-
 @dataclasses.dataclass(frozen=True)
 class BenchmarkJob:
     """One pure unit of work: a benchmark under a configuration."""
@@ -154,15 +150,14 @@ def run_loops(
     config: CompilerConfig,
     machine: ItaniumMachine,
     seed: int,
-    profile: BlockProfile | None | object = _AUTO_PROFILE,
     verify: bool = False,
     trace: bool = False,
 ) -> LoopRunOutcome:
     """Compile and simulate every hot loop of ``bench`` under ``config``.
 
-    Pure in all arguments: same inputs, bit-identical outputs.  ``profile``
-    defaults to the training profile when the config uses PGO; pass an
-    explicit profile to reuse a memoised one.  ``verify`` runs the
+    Pure in all arguments: same inputs, bit-identical outputs.  Loops
+    compile against the benchmark's training profile when the config
+    uses PGO.  ``verify`` runs the
     :mod:`repro.analysis` translation validator on each compiled loop and
     fills :attr:`LoopRunOutcome.verification`.  ``trace`` attaches a
     streaming :class:`repro.trace.StallAttribution` sink to every loop
@@ -170,8 +165,7 @@ def run_loops(
     cycle total, and fills :attr:`LoopRunOutcome.trace` with the merged
     summary.  Neither switch affects simulation results.
     """
-    if profile is _AUTO_PROFILE:
-        profile = collect_profile(bench, seed) if config.pgo else None
+    profile = collect_profile(bench, seed) if config.pgo else None
     if trace:
         from repro.trace import (
             StallAttribution,

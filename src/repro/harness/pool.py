@@ -17,10 +17,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import tempfile
 import time
 from pathlib import Path
 
-from repro.config import CompilerConfig
+from repro.config import CompilerConfig, baseline_config
 from repro.core.results import BenchmarkResult, ExperimentResult, percent_gain
 from repro.errors import HarnessError
 from repro.harness.cache import ArtifactCache
@@ -145,6 +146,26 @@ def _normalise_cache(
     return ArtifactCache(cache), str(cache)
 
 
+def _run_uncached(
+    jobs: list[BenchmarkJob], workers: int, timeout: float | None
+) -> list[JobOutcome]:
+    """``run_jobs`` against a scratch cache deleted on return, so each
+    benchmark's baseline anchor is simulated once, not once per cell.
+
+    The anchor config's own cells run first: their loop runs are then
+    misses they execute themselves, so every outcome (per-loop
+    artifacts, ``cache_hit=False``) reads as if no cache were used.
+    """
+    anchor = baseline_config().label
+    order = sorted(range(len(jobs)),
+                   key=lambda i: jobs[i].config.label != anchor)
+    with tempfile.TemporaryDirectory() as scratch:
+        ran = run_jobs([jobs[i] for i in order], workers=workers,
+                       cache=ArtifactCache(scratch), timeout=timeout)
+    by_index = dict(zip(order, ran))
+    return [by_index[i] for i in range(len(jobs))]
+
+
 @dataclasses.dataclass
 class SuiteRun:
     """A full (benchmarks x configs) grid run through the harness."""
@@ -209,7 +230,11 @@ def run_suite(
         for bench in benchmarks
     ]
     start = time.perf_counter()
-    outcomes = run_jobs(jobs, workers=workers, cache=cache, timeout=timeout)
+    if cache is None:
+        outcomes = _run_uncached(jobs, workers, timeout)
+    else:
+        outcomes = run_jobs(jobs, workers=workers, cache=cache,
+                            timeout=timeout)
     wall = time.perf_counter() - start
 
     results: dict[str, dict[str, BenchmarkResult]] = {

@@ -105,7 +105,7 @@ class _LoadSampler:
     """A trace sink that records every demand load against its reference.
 
     It wants memory events only; each ``LoadIssue`` carries the issuing
-    op's tag, which maps back to the reference the op accesses.
+    load's slot, its position in the loop's load list.
     """
 
     wants_issues = False
@@ -113,14 +113,14 @@ class _LoadSampler:
     wants_stalls = False
     wants_memory = True
 
-    def __init__(self, profile: MissProfile, ref_by_tag: dict[str, MemRef]):
+    def __init__(self, profile: MissProfile, refs: list[MemRef]):
         self.profile = profile
-        self.ref_by_tag = ref_by_tag
+        self.refs = refs
 
     def emit(self, event) -> None:
         if event.kind == "load":
             self.profile.record(
-                self.ref_by_tag[event.tag], event.level, event.latency
+                self.refs[event.slot], event.level, event.latency
             )
 
 
@@ -136,37 +136,23 @@ def collect_miss_profile(
     ``loop_factory`` returns a fresh ``(loop, layout)`` pair (the workload
     templates have this shape).  The loop is compiled with the *baseline*
     configuration — sampling observes the unoptimised behaviour, the same
-    way a sampling profiler observes a plain training binary.
+    way a sampling profiler observes a plain training binary — and run
+    through :func:`~repro.sim.executor.simulate_loop`, so the training run
+    sees the same pre-warm and restarting streams as a measured run.
     """
     from repro.core.compiler import LoopCompiler
-    from repro.sim.address import build_streams
-    from repro.sim.core import prepare_execution, run_iterations
-    from repro.sim.counters import PerfCounters
+    from repro.sim.executor import simulate_loop
 
     config = config or baseline_config()
     loop, layout = loop_factory()
-    compiled = LoopCompiler(machine, config).compile(loop)
-    result = compiled.result
-
-    setup = prepare_execution(result, machine)
+    result = LoopCompiler(machine, config).compile(loop).result
     profile = MissProfile()
-    sampler = _LoadSampler(profile, {
-        op.tag: op.inst.memref
-        for op in setup.ops
-        if op.inst.memref is not None
-    })
-    memory = machine.memory_system()
-    streams = build_streams(result.loop, layout, sum(trip_counts), seed=seed)
-    counters = PerfCounters()
-
-    base = 0
-    cycle = 0.0
-    for n in trip_counts:
-        cycle = run_iterations(
-            setup, streams, base, n, memory, machine, counters, cycle,
-            sampler,
-        )
-        base += n
+    sampler = _LoadSampler(
+        profile, [inst.memref for inst in result.loop.loads]
+    )
+    simulate_loop(
+        result, machine, layout, trip_counts, seed=seed, sink=sampler
+    )
     return profile
 
 

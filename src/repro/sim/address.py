@@ -141,7 +141,6 @@ def build_streams(
     layout: dict[str, StreamSpec],
     n_iters: int,
     seed: int = 11,
-    address_map: AddressMap | None = None,
     lookahead: int = 64,
 ) -> LoopStreams:
     """Generate one address per source iteration for every reference.
@@ -151,7 +150,7 @@ def build_streams(
     prefetch distances reaching past the end.
     """
     rng = np.random.default_rng(seed)
-    amap = address_map or AddressMap()
+    amap = AddressMap()
     streams = LoopStreams(lookahead=lookahead)
     total = n_iters + lookahead
     cache: dict[tuple, np.ndarray] = {}

@@ -28,8 +28,6 @@ class Cache:
         self._num_sets = geometry.num_sets
         self._ways = geometry.associativity
         self._sets: dict[int, OrderedDict[int, float]] = {}
-        self.hits = 0
-        self.misses = 0
 
     def _locate(self, addr: int) -> tuple[int, int]:
         line = addr // self._line_size
@@ -45,10 +43,8 @@ class Cache:
         tag = addr // self._line_size
         ways = self._sets.get(tag % self._num_sets)
         if ways is None or tag not in ways:
-            self.misses += 1
             return None
         ways.move_to_end(tag)
-        self.hits += 1
         ready = ways[tag]
         return max(0.0, ready - now)
 
@@ -74,8 +70,6 @@ class Cache:
 
     def reset(self) -> None:
         self._sets.clear()
-        self.hits = 0
-        self.misses = 0
 
     def __repr__(self) -> str:
         g = self.geometry

@@ -1,6 +1,9 @@
 """Whole-loop simulation across invocations.
 
-Adds the per-invocation fixed costs around the kernel (Sec. 2.2/4.5):
+:func:`simulate_loop` is the one driver that runs a compiled loop over a
+list of per-invocation trip counts; trip-count versioning and miss
+sampling (the Sec. 6 outlook extensions) run through it too.  It adds the
+per-invocation fixed costs around the kernel (Sec. 2.2/4.5):
 
 * prolog/epilog spill and fill instructions from static register pressure;
 * register stack engine (RSE) traffic proportional to the stacked frame —
@@ -22,7 +25,7 @@ import numpy as np
 
 from repro.machine.itanium2 import ItaniumMachine
 from repro.pipeliner.driver import PipelineResult
-from repro.sim.address import AddressMap, LoopStreams, StreamSpec, build_streams
+from repro.sim.address import LoopStreams, StreamSpec, build_streams
 from repro.sim.core import ExecutionSetup, prepare_execution, run_iterations
 from repro.sim.counters import PerfCounters
 from repro.sim.memory import MemorySystem
@@ -35,6 +38,8 @@ FLUSH_CYCLES = 8.0
 FRONTEND_CYCLES = 4.0
 #: cycles per spill/fill instruction pair in prolog/epilog
 SPILL_CYCLES = 3.0
+#: cycles of the runtime trip-count test + branch selecting the version
+VERSION_CHECK_CYCLES = 2.0
 
 
 @dataclass
@@ -58,9 +63,10 @@ def simulate_loop(
     layout: dict[str, StreamSpec],
     trip_counts: list[int] | np.ndarray,
     seed: int = 11,
-    address_map: AddressMap | None = None,
-    counters: PerfCounters | None = None,
     sink=None,
+    *,
+    fallback: PipelineResult | None = None,
+    threshold: int = 0,
 ) -> LoopRunResult:
     """Run a compiled loop for the given per-invocation trip counts.
 
@@ -69,21 +75,37 @@ def simulate_loop(
     event stream of the invocations; the cache pre-warm emits nothing,
     so one-time warm-up fills stay out of traces.  ``sink=None`` keeps
     the run event-free and bit-identical to an untraced one.
+
+    ``fallback`` makes the run trip-count versioned: invocations of
+    fewer than ``threshold`` iterations execute the ``fallback`` kernel
+    instead of ``result``, and every invocation pays
+    :data:`VERSION_CHECK_CYCLES` for the runtime test.  Both kernels
+    share one memory system, which is pre-warmed from ``result``'s
+    streams.
     """
-    counters = counters if counters is not None else PerfCounters()
+    counters = PerfCounters()
     memory = machine.memory_system()
     trips = [int(t) for t in trip_counts]
-    total_iters = sum(trips)
-    setup, streams, restart_uids = _lower(
-        result, machine, layout, trips, seed, address_map
-    )
-
-    _prewarm_resident_regions(result, layout, streams, memory)
+    primary = _lower(result, machine, layout, trips, seed)
+    _prewarm_resident_regions(result, layout, primary[1], memory)
+    if fallback is not None:
+        secondary = _lower(fallback, machine, layout, trips, seed)
 
     cycle = 0.0
     running_base = 0
     for n in trips:
-        cycle += _invocation_overhead(result, counters)
+        if fallback is None:
+            lowered = primary
+            cycle += _invocation_overhead(result, counters)
+        else:
+            version, lowered = (
+                (result, primary) if n >= threshold else (fallback, secondary)
+            )
+            cycle += (
+                _invocation_overhead(version, counters) + VERSION_CHECK_CYCLES
+            )
+            counters.unstalled += VERSION_CHECK_CYCLES
+        setup, streams, restart_uids = lowered
         cycle = run_iterations(
             setup, streams, running_base, n, memory, machine, counters,
             cycle, sink, restart_uids=restart_uids,
@@ -96,7 +118,7 @@ def simulate_loop(
         cycles=cycle,
         counters=counters,
         invocations=len(trips),
-        total_iterations=total_iters,
+        total_iterations=sum(trips),
     )
 
 
@@ -106,7 +128,6 @@ def _lower(
     layout: dict[str, StreamSpec],
     trips: list[int],
     seed: int,
-    address_map: AddressMap | None = None,
 ) -> tuple[ExecutionSetup, LoopStreams, set[int]]:
     """The execution setup, the address streams and the restarting refs
     of one compiled loop run for ``trips``."""
@@ -114,13 +135,7 @@ def _lower(
     # streams for reused spaces are indexed from 0 each invocation, so the
     # array only needs max(trips); streaming spaces need the running total
     stream_len = max(sum(trips), max(trips) if trips else 0)
-    streams = build_streams(
-        result.loop,
-        layout,
-        stream_len,
-        seed=seed,
-        address_map=address_map,
-    )
+    streams = build_streams(result.loop, layout, stream_len, seed=seed)
     # split shared stream table into reuse (restarting) vs streaming refs
     reuse_spaces = {s for s, spec in layout.items() if spec.reuse}
     restart_uids = {

@@ -82,7 +82,6 @@ class MemorySystem:
         pages = self._tlb_pages
         if page in pages:
             pages.move_to_end(page)
-            self.tlb.hits += 1
             penalty = 0
         else:
             penalty = self.tlb.access(addr)
@@ -95,12 +94,10 @@ class MemorySystem:
             ways = self._l1_sets.get(tag % self._l1_num_sets)
             if ways is not None and tag in ways:
                 ways.move_to_end(tag)
-                self.l1d.hits += 1
                 ready = ways[tag]
                 pending = ready - now if ready > now else 0.0
                 # requests merging into an in-flight fill share its OzQ entry
                 return (self._l1 + pending + penalty, 1, False)
-            self.l1d.misses += 1
 
         pending = self.l2.lookup(addr, now)
         if pending is not None:
@@ -160,7 +157,6 @@ class MemorySystem:
         pages = self._tlb_pages
         if page in pages:
             pages.move_to_end(page)
-            self.tlb.hits += 1
             penalty = 0
         else:
             penalty = self.tlb.access(addr)
@@ -169,9 +165,7 @@ class MemorySystem:
             ways = self._l1_sets.get(tag % self._l1_num_sets)
             if ways is not None and tag in ways:
                 ways.move_to_end(tag)
-                self.l1d.hits += 1
                 return (0.0, 1, False)
-            self.l1d.misses += 1
         pending = self.l2.lookup(addr, now)
         if pending is not None:
             if not (l2_only or is_fp):

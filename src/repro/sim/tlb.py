@@ -29,17 +29,13 @@ class TLB:
         self._page_size = geometry.page_size
         self._penalty = geometry.miss_penalty
         self._pages: OrderedDict[int, None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def access(self, addr: int) -> int:
         """Translate ``addr``: returns the added penalty (0 on a hit)."""
         page = addr // self._page_size
         if page in self._pages:
             self._pages.move_to_end(page)
-            self.hits += 1
             return 0
-        self.misses += 1
         if len(self._pages) >= self._entries:
             self._pages.popitem(last=False)
         self._pages[page] = None
@@ -47,5 +43,3 @@ class TLB:
 
     def reset(self) -> None:
         self._pages.clear()
-        self.hits = 0
-        self.misses = 0

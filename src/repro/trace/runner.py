@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.machine.itanium2 import ItaniumMachine
 from repro.pipeliner.driver import PipelineResult
-from repro.sim.address import AddressMap, StreamSpec
+from repro.sim.address import StreamSpec
 from repro.sim.executor import LoopRunResult, simulate_loop
 from repro.trace.attribution import (
     AccountingCheck,
@@ -51,7 +51,6 @@ def trace_simulation(
     trip_counts: list[int] | np.ndarray,
     *,
     seed: int = 11,
-    address_map: AddressMap | None = None,
     ring: int | None = None,
 ) -> TraceResult:
     """Simulate ``result`` with full tracing and closed accounting.
@@ -64,13 +63,7 @@ def trace_simulation(
     attribution = StallAttribution()
     sink = TeeSink(capture, attribution)
     run = simulate_loop(
-        result,
-        machine,
-        layout,
-        trip_counts,
-        seed=seed,
-        address_map=address_map,
-        sink=sink,
+        result, machine, layout, trip_counts, seed=seed, sink=sink
     )
     check = check_closed_accounting(attribution, run.counters, run.cycles)
     return TraceResult(

@@ -133,6 +133,22 @@ class TestMissSampling:
             cycles[label] = sim.cycles
         assert cycles["sampled"] < cycles["base"] * 0.8
 
+    def test_training_run_sees_what_simulate_loop_runs(self, machine):
+        """The sampled run is a plain simulate_loop run: reused spaces
+        start pre-warmed and restart every invocation, so no cold
+        misses appear that the measured run never has."""
+        factory = partial(low_trip_linear, "h", working_set=4 * MB)
+        trips = [10] * 60
+        profile = collect_miss_profile(factory, machine, trips, seed=17)
+        sampled: dict[int, int] = {}
+        for stats in profile.stats.values():
+            for level, n in stats.levels.items():
+                sampled[level] = sampled.get(level, 0) + n
+        loop, layout = factory()
+        result = LoopCompiler(machine, baseline_config()).compile(loop).result
+        run = simulate_loop(result, machine, layout, trips, seed=17)
+        assert sampled == run.counters.loads_by_level
+
     def test_unsampled_loop_gets_no_hints(self, machine):
         loop, _ = gather("fresh", index_set=1 * MB, data_set=1 * MB)
         assert hints_from_miss_profile(loop, MissProfile()) == 0
@@ -230,9 +246,10 @@ class TestTripCountVersioning:
         assert multi.cycles < base.cycles
 
     def test_one_version_costs_its_plain_run_plus_checks(self, machine):
-        """Threshold 0 always picks the boosted kernel, so the versioned
-        run is the boosted loop's plain run plus one check per
-        invocation — also when only some spaces restart per invocation."""
+        """Threshold 0 always picks the boosted kernel, a threshold above
+        every trip always the fallback, so the versioned run is that
+        kernel's plain run plus one check per invocation — also when
+        only some spaces restart per invocation."""
 
         def factory():
             loop, layout = low_trip_linear("mix")
@@ -241,12 +258,14 @@ class TestTripCountVersioning:
 
         cfg = CompilerConfig(hint_policy=HintPolicy.ALL_LOADS_L3,
                              trip_count_threshold=0)
-        versioned, layout = compile_versions(factory, machine, cfg,
-                                             threshold=0)
         trips = [8] * 50
-        multi = simulate_versioned(versioned, machine, layout, trips)
-        plain = simulate_loop(versioned.boosted.result, machine, layout,
-                              trips)
-        assert multi.cycles == pytest.approx(
-            plain.cycles + len(trips) * VERSION_CHECK_CYCLES
-        )
+        for threshold, picked in ((0, "boosted"), (9, "fallback")):
+            versioned, layout = compile_versions(factory, machine, cfg,
+                                                 threshold=threshold)
+            multi = simulate_versioned(versioned, machine, layout, trips)
+            plain = simulate_loop(
+                getattr(versioned, picked).result, machine, layout, trips
+            )
+            assert multi.cycles == pytest.approx(
+                plain.cycles + len(trips) * VERSION_CHECK_CYCLES
+            ), picked

@@ -253,6 +253,44 @@ class TestRunSuite:
         assert len(run.manifest.configs) == 1
         assert len(run.manifest.cells) == 1
 
+    def test_uncached_grid_prices_each_anchor_once(self, monkeypatch):
+        """177.mesa under {baseline, n=0, n=32, n=64} without a cache:
+        four distinct loop runs, each simulated once.  The variant cells
+        price their serial cycles off the baseline cell's run."""
+        from repro.harness import jobs as harness_jobs
+
+        calls = []
+        real = harness_jobs.run_loops
+
+        def counting(bench, config, *args, **kwargs):
+            calls.append(config.label)
+            return real(bench, config, *args, **kwargs)
+
+        monkeypatch.setattr(harness_jobs, "run_loops", counting)
+        configs = [baseline_config()] + [
+            CompilerConfig(hint_policy=HintPolicy.ALL_LOADS_L3,
+                           trip_count_threshold=n, name=f"n={n}")
+            for n in (0, 32, 64)
+        ]
+        run = run_suite([benchmark_by_name("177.mesa")], configs, seed=7)
+        assert sorted(calls) == sorted(c.label for c in configs)
+        assert not any(cell.cache_hit for cell in run.manifest.cells)
+
+    def test_uncached_grid_reads_as_cacheless_in_any_order(self):
+        """The baseline column listed last still runs its own loops:
+        no cell reports a cache hit, every cell keeps its per-loop
+        artifacts, and cells stay in config-major submission order."""
+        suite = micro_suite()[:2]
+        configs = [hlo_cfg(), baseline_config()]
+        run = run_suite(suite, configs, seed=2008)
+        assert [(c.config, c.benchmark) for c in run.manifest.cells] == [
+            (cfg.label, bench.name) for cfg in configs for bench in suite
+        ]
+        assert not any(cell.cache_hit for cell in run.manifest.cells)
+        for cfg in configs:
+            for bench in suite:
+                assert run.config(cfg.label)[bench.name].loops
+
     def test_unknown_config_label_raises(self, tmp_path):
         run = run_suite(micro_suite()[:1], [baseline_config()])
         with pytest.raises(HarnessError, match="no config"):

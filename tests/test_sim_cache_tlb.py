@@ -51,14 +51,13 @@ class TestCache:
         c.fill(0x100, ready_time=200)
         assert c.lookup(0x100, now=0) == 100.0
 
-    def test_hit_miss_counters_and_reset(self):
+    def test_lookup_hit_miss_and_reset(self):
         c = _small_cache()
-        c.lookup(0, 0)
+        assert c.lookup(0, 0) is None
         c.fill(0, 0)
-        c.lookup(0, 0)
-        assert c.hits == 1 and c.misses == 1
+        assert c.lookup(0, 0) == 0.0
         c.reset()
-        assert c.hits == 0 and c.misses == 0
+        assert c.lookup(0, 0) is None
         assert not c.contains(0)
 
     def test_bad_geometry_rejected(self):
@@ -83,6 +82,6 @@ class TestTLB:
     def test_reset(self):
         tlb = TLB(TlbGeometry())
         tlb.access(0)
+        assert tlb.access(0) == 0
         tlb.reset()
-        assert tlb.hits == 0 and tlb.misses == 0
         assert tlb.access(0) == tlb.geometry.miss_penalty  # not resident

@@ -5,9 +5,14 @@ import pytest
 
 from repro.config import CompilerConfig, baseline_config
 from repro.core.compiler import LoopCompiler
-from repro.sim import run_iterations, simulate_loop
+from repro.sim import (
+    build_streams,
+    prepare_execution,
+    run_iterations,
+    simulate_loop,
+)
 from repro.sim.counters import PerfCounters
-from repro.sim.executor import FLUSH_CYCLES, FRONTEND_CYCLES, _lower
+from repro.sim.executor import FLUSH_CYCLES, FRONTEND_CYCLES
 from repro.workloads.loops import low_trip_linear, pointer_chase, stream_int
 
 
@@ -64,9 +69,14 @@ class TestSimulateLoop:
                                   reuse=True)
         loop.trip_count.estimate = 100.0
         result = _compile(loop, machine, baseline_config().with_(prefetch=False))
-        setup, streams, restart_uids = _lower(
-            result, machine, layout, [100, 100], seed=11
-        )
+        setup = prepare_execution(result, machine)
+        streams = build_streams(result.loop, layout, 200)
+        # the one space is reused: every reference restarts at position 0
+        restart_uids = {
+            inst.memref.uid
+            for inst in result.loop.body
+            if inst.memref is not None
+        }
         assert restart_uids
         memory = machine.memory_system()
         first, second = PerfCounters(), PerfCounters()
