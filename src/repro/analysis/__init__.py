@@ -27,7 +27,6 @@ from repro.analysis.perfmodel import (
 from repro.analysis.pressure import max_live, verify_pressure
 from repro.analysis.schedverify import verify_schedule
 from repro.analysis.verify import (
-    verification_status,
     verify_compiled,
     verify_result,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "verify_optimality",
     "verify_result",
     "verify_compiled",
-    "verification_status",
     "SiteBound",
     "StaticPerfModel",
     "build_perf_model",

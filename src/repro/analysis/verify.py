@@ -58,15 +58,3 @@ def verify_result(result: PipelineResult) -> DiagnosticReport:
 def verify_compiled(compiled: CompiledLoop) -> DiagnosticReport:
     """Validate one compiled loop (the HLO-transformed IR + its schedule)."""
     return verify_result(compiled.result)
-
-
-def verification_status(report: DiagnosticReport) -> dict:
-    """Compact, JSON-serialisable summary for manifests and job payloads."""
-    counts = report.counts()
-    return {
-        "ok": report.ok,
-        "errors": counts["error"],
-        "warnings": counts["warning"],
-        "notes": counts["note"],
-        "codes": report.codes(),
-    }

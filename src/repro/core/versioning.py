@@ -36,9 +36,6 @@ class VersionedLoop:
     #: invocations with at least this many iterations run the boosted body
     threshold: int
 
-    def pick(self, trips: int) -> CompiledLoop:
-        return self.boosted if trips >= self.threshold else self.fallback
-
 
 def compile_versions(
     loop_factory: Callable[[], tuple[Loop, dict[str, StreamSpec]]],

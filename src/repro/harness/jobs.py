@@ -14,6 +14,10 @@ one config.  A benchmark cell needs two loop runs — its own config and
 the canonical-baseline anchor that prices the serial (non-loop) cycles —
 and the anchor is shared by every config of the same benchmark, so an
 N-config sweep stores N+1 entries per benchmark, not 2N.
+
+Below a cell, the unit of work is one hot loop: :func:`loop_tasks`
+compiles a benchmark's loops into :class:`LoopTask` values,
+:func:`run_task` simulates one, and :func:`run_loops` folds the two.
 """
 
 from __future__ import annotations
@@ -24,14 +28,14 @@ import time
 import numpy as np
 
 from repro.config import CompilerConfig, baseline_config
-from repro.core.compiler import LoopCompiler
+from repro.core.compiler import CompiledLoop, LoopCompiler
 from repro.core.results import SERIAL_SPLIT, BenchmarkResult, LoopOutcome
 from repro.hlo.profiles import BlockProfile, collect_block_profile
 from repro.ir.printer import format_loop
 from repro.machine.itanium2 import ItaniumMachine
-from repro.sim.address import stable_hash
+from repro.sim.address import StreamSpec, stable_hash
 from repro.sim.counters import PerfCounters
-from repro.sim.executor import simulate_loop
+from repro.sim.executor import LoopRunResult, simulate_loop
 from repro.workloads.spec import Benchmark
 
 @dataclasses.dataclass(frozen=True)
@@ -145,6 +149,62 @@ def aggregate_verification(
     return summary
 
 
+@dataclasses.dataclass(frozen=True)
+class LoopTask:
+    """One hot loop of a benchmark, compiled and ready to simulate.
+
+    Picklable, so a task compiled in one process replays to identical
+    cycles in another.
+    """
+
+    compiled: CompiledLoop
+    layout: dict[str, StreamSpec]
+    #: per-invocation trip counts (see :func:`sample_trips`)
+    trips: np.ndarray
+    #: stream seed of the run
+    seed: int
+
+
+def loop_tasks(
+    bench: Benchmark,
+    config: CompilerConfig,
+    machine: ItaniumMachine,
+    seed: int,
+) -> list[LoopTask]:
+    """Compile every hot loop of ``bench`` under ``config``.
+
+    Loops compile against the benchmark's training profile when the
+    config uses PGO; each loop's run replays its reference trip counts
+    at stream seed ``seed + pos``.
+    """
+    profile = collect_profile(bench, seed) if config.pgo else None
+    compiler = LoopCompiler(machine, config)
+    tasks = []
+    for pos, lw in enumerate(bench.loops):
+        loop, layout = lw.build()
+        tasks.append(LoopTask(
+            compiled=compiler.compile(loop, profile),
+            layout=layout,
+            trips=sample_trips(bench, pos, seed),
+            seed=seed + pos,
+        ))
+    return tasks
+
+
+def run_task(
+    task: LoopTask, machine: ItaniumMachine, sink=None
+) -> LoopRunResult:
+    """Simulate one compiled loop over its trip counts."""
+    return simulate_loop(
+        task.compiled.result,
+        machine,
+        task.layout,
+        task.trips,
+        seed=task.seed,
+        sink=sink,
+    )
+
+
 def run_loops(
     bench: Benchmark,
     config: CompilerConfig,
@@ -155,9 +215,8 @@ def run_loops(
 ) -> LoopRunOutcome:
     """Compile and simulate every hot loop of ``bench`` under ``config``.
 
-    Pure in all arguments: same inputs, bit-identical outputs.  Loops
-    compile against the benchmark's training profile when the config
-    uses PGO.  ``verify`` runs the
+    A fold of :func:`run_task` over :func:`loop_tasks`; pure in all
+    arguments: same inputs, bit-identical outputs.  ``verify`` runs the
     :mod:`repro.analysis` translation validator on each compiled loop and
     fills :attr:`LoopRunOutcome.verification`.  ``trace`` attaches a
     streaming :class:`repro.trace.StallAttribution` sink to every loop
@@ -165,7 +224,6 @@ def run_loops(
     cycle total, and fills :attr:`LoopRunOutcome.trace` with the merged
     summary.  Neither switch affects simulation results.
     """
-    profile = collect_profile(bench, seed) if config.pgo else None
     if trace:
         from repro.trace import (
             StallAttribution,
@@ -173,38 +231,25 @@ def run_loops(
             merge_trace_summaries,
             trace_summary,
         )
-    compiler = LoopCompiler(machine, config)
+    if verify:
+        from repro.analysis import check_simulation, verify_compiled
     total = 0.0
     counters = PerfCounters()
     outcomes: list[LoopOutcome] = []
     reports = []
     summaries: list[dict] = []
     bounds_checked = bounds_violations = 0
-    for pos, lw in enumerate(bench.loops):
-        loop, layout = lw.build()
-        compiled = compiler.compile(loop, profile)
+    for task in loop_tasks(bench, config, machine, seed):
         if verify:
-            from repro.analysis import verify_compiled
-
-            reports.append(verify_compiled(compiled))
-        trips = sample_trips(bench, pos, seed)
+            reports.append(verify_compiled(task.compiled))
         sink = StallAttribution() if trace else None
-        sim = simulate_loop(
-            compiled.result,
-            machine,
-            layout,
-            trips,
-            seed=seed + pos,
-            sink=sink,
-        )
+        sim = run_task(task, machine, sink)
         if verify:
             # post-simulation translation validation for *performance*:
             # the cell's raw counters must land inside the SA5xx static
             # interval derived before the run
-            from repro.analysis import check_simulation
-
             bound_report = check_simulation(
-                compiled.result, machine, layout, trips,
+                task.compiled.result, machine, task.layout, task.trips,
                 sim.counters, sim.cycles,
             )
             bounds_checked += 1
@@ -216,16 +261,12 @@ def run_loops(
             # fresh counters (merged counters group additions differently)
             check = check_closed_accounting(sink, sim.counters, sim.cycles)
             summaries.append(trace_summary(sink, check))
-        total += sim.cycles * lw.weight
-        counters.merge(
-            sim.counters.scaled(lw.weight)
-            if lw.weight != 1.0
-            else sim.counters
-        )
+        total += sim.cycles
+        counters.merge(sim.counters)
         outcomes.append(
             LoopOutcome(
-                compiled=compiled,
-                cycles=sim.cycles * lw.weight,
+                compiled=task.compiled,
+                cycles=sim.cycles,
                 counters=sim.counters,
             )
         )
@@ -306,7 +347,10 @@ def describe_benchmark(bench: Benchmark) -> dict:
             "train": _describe_distribution(lw.data.train),
             "ref": _describe_distribution(lw.data.ref),
             "invocations": lw.invocations,
-            "weight": lw.weight,
+            # the retired loop weight, at the 1.0 every loop had; kept so
+            # every loop-run cache key minted before its removal still
+            # addresses its entry
+            "weight": 1.0,
         })
     return {
         "name": bench.name,

@@ -49,7 +49,6 @@ def run_tasks(
     *,
     workers: int = 1,
     timeout: float | None = None,
-    labels: list[str] | None = None,
 ):
     """Map ``fn`` over ``payloads``, returning results in submission order.
 
@@ -61,7 +60,7 @@ def run_tasks(
     result.  ``timeout`` bounds any single task's *execution*, in
     seconds; the offending worker is reaped, the whole batch still runs
     to completion, and the timeout is raised afterwards as a
-    :class:`HarnessError` naming the task (``labels`` supply the names).
+    :class:`HarnessError` naming the task by its index.
     Callers that want timeouts *recorded* instead of raised use
     :func:`~repro.harness.workers.run_supervised` directly, as
     :func:`run_jobs` does.
@@ -72,9 +71,8 @@ def run_tasks(
     values = []
     for i, result in enumerate(results):
         if result.status == TASK_TIMEOUT:
-            label = labels[i] if labels else f"task {i}"
             raise HarnessError(
-                f"{label} exceeded the {timeout}s timeout"
+                f"task {i} exceeded the {timeout}s timeout"
             ) from None
         if result.status != TASK_OK:
             if result.exception is not None:

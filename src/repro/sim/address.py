@@ -20,6 +20,9 @@ from repro.ir.memref import AccessPattern, MemRef
 
 #: gap between regions so distinct spaces never share cache lines
 _REGION_ALIGN = 1 << 22  # 4 MB
+#: extra stream elements past the last iteration, covering prefetch
+#: distances that reach beyond the end
+_LOOKAHEAD = 64
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,8 @@ class AddressMap:
 class LoopStreams:
     """Per-reference address streams for one loop."""
 
-    #: reference uid -> address array (length n_iters + lookahead)
+    #: reference uid -> address array (length n_iters + _LOOKAHEAD)
     by_ref: dict[int, np.ndarray] = field(default_factory=dict)
-    lookahead: int = 0
     #: lazily-built plain-list form of each stream, which the interpreter
     #: indexes across every invocation of a run (scalar list indexing
     #: beats per-access numpy scalar extraction by an order of magnitude);
@@ -141,18 +143,17 @@ def build_streams(
     layout: dict[str, StreamSpec],
     n_iters: int,
     seed: int = 11,
-    lookahead: int = 64,
 ) -> LoopStreams:
     """Generate one address per source iteration for every reference.
 
     ``n_iters`` is the total number of iterations that will be simulated
-    (summed across invocations); ``lookahead`` extra elements cover
-    prefetch distances reaching past the end.
+    (summed across invocations); :data:`_LOOKAHEAD` extra elements
+    cover prefetch distances reaching past the end.
     """
     rng = np.random.default_rng(seed)
     amap = AddressMap()
-    streams = LoopStreams(lookahead=lookahead)
-    total = n_iters + lookahead
+    streams = LoopStreams()
+    total = n_iters + _LOOKAHEAD
     cache: dict[tuple, np.ndarray] = {}
 
     for inst in loop.body:

@@ -96,22 +96,6 @@ class PerfCounters:
                 self.stall_by_consumer.get(key, 0.0) + cycles
             )
 
-    def scaled(self, factor: float) -> "PerfCounters":
-        """A copy with all cycle buckets multiplied by ``factor``."""
-        out = PerfCounters(
-            unstalled=self.unstalled * factor,
-            be_exe_bubble=self.be_exe_bubble * factor,
-            be_l1d_fpu_bubble=self.be_l1d_fpu_bubble * factor,
-            be_rse_bubble=self.be_rse_bubble * factor,
-            be_flush_bubble=self.be_flush_bubble * factor,
-            back_end_bubble_fe=self.back_end_bubble_fe * factor,
-            ozq_full_cycles=self.ozq_full_cycles * factor,
-            ldt_hidden_cycles=self.ldt_hidden_cycles * factor,
-            slsq_replay_cycles=self.slsq_replay_cycles * factor,
-        )
-        out.loads_by_level = dict(self.loads_by_level)
-        return out
-
     def summary(self) -> str:
         total = self.total_cycles or 1.0
         parts = [f"total={total:.0f}"]

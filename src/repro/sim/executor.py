@@ -40,6 +40,8 @@ FRONTEND_CYCLES = 4.0
 SPILL_CYCLES = 3.0
 #: cycles of the runtime trip-count test + branch selecting the version
 VERSION_CHECK_CYCLES = 2.0
+#: distinct lines the pre-warm installs at most
+_PREWARM_MAX_LINES = 250_000
 
 
 @dataclass
@@ -168,7 +170,6 @@ def _prewarm_resident_regions(
     layout: dict[str, StreamSpec],
     streams: LoopStreams,
     memory: MemorySystem,
-    max_lines: int = 250_000,
 ) -> None:
     """Pre-touch reused regions so they start cache-resident.
 
@@ -191,7 +192,7 @@ def _prewarm_resident_regions(
         if stream is None:
             continue
         for addr in np.unique(stream // line):
-            if addr in seen or len(seen) >= max_lines:
+            if addr in seen or len(seen) >= _PREWARM_MAX_LINES:
                 continue
             seen.add(int(addr))
             memory.load(int(addr) * line, now=-1e9, is_fp=ref.is_fp)

@@ -34,8 +34,6 @@ class LoopWorkload:
     data: DataSet
     #: reference-run invocations to simulate
     invocations: int = 1
-    #: scale factor applied to this loop's simulated cycles
-    weight: float = 1.0
 
     def build(self) -> tuple[Loop, dict[str, StreamSpec]]:
         return self.factory()
@@ -50,14 +48,6 @@ class Benchmark:
     loops: tuple[LoopWorkload, ...]
     #: non-loop cycles as a multiple of baseline loop cycles
     serial_factor: float = 1.0
-
-    @property
-    def loop_names(self) -> list[str]:
-        names = []
-        for lw in self.loops:
-            loop, _ = lw.build()
-            names.append(loop.name)
-        return names
 
 
 def _bench(
@@ -75,11 +65,8 @@ def _lw(
     factory: LoopFactory,
     data: DataSet,
     invocations: int = 1,
-    weight: float = 1.0,
 ) -> LoopWorkload:
-    return LoopWorkload(
-        factory=factory, data=data, invocations=invocations, weight=weight
-    )
+    return LoopWorkload(factory=factory, data=data, invocations=invocations)
 
 
 # --- archetype shorthands ----------------------------------------------------

@@ -179,13 +179,6 @@ class TestTripCountVersioning:
         )
         assert versioned.threshold > 1
 
-    def test_pick(self, machine, mesa_like):
-        factory, profile, cfg = mesa_like
-        versioned, _ = compile_versions(factory, machine, cfg,
-                                        profile=profile, threshold=32)
-        assert versioned.pick(8) is versioned.fallback
-        assert versioned.pick(200) is versioned.boosted
-
     def test_versioning_removes_the_mesa_loss(self, machine, mesa_like):
         """Run at 8 iterations per invocation: the plain boosted build
         loses badly; the versioned build tracks the fallback."""
@@ -246,10 +239,11 @@ class TestTripCountVersioning:
         assert multi.cycles < base.cycles
 
     def test_one_version_costs_its_plain_run_plus_checks(self, machine):
-        """Threshold 0 always picks the boosted kernel, a threshold above
-        every trip always the fallback, so the versioned run is that
-        kernel's plain run plus one check per invocation — also when
-        only some spaces restart per invocation."""
+        """Threshold 0 always picks the boosted kernel, as does a
+        threshold equal to every trip (the ``n >= threshold`` boundary),
+        and a threshold above every trip always the fallback, so the
+        versioned run is that kernel's plain run plus one check per
+        invocation — also when only some spaces restart per invocation."""
 
         def factory():
             loop, layout = low_trip_linear("mix")
@@ -259,7 +253,9 @@ class TestTripCountVersioning:
         cfg = CompilerConfig(hint_policy=HintPolicy.ALL_LOADS_L3,
                              trip_count_threshold=0)
         trips = [8] * 50
-        for threshold, picked in ((0, "boosted"), (9, "fallback")):
+        for threshold, picked in (
+            (0, "boosted"), (8, "boosted"), (9, "fallback")
+        ):
             versioned, layout = compile_versions(factory, machine, cfg,
                                                  threshold=threshold)
             multi = simulate_versioned(versioned, machine, layout, trips)

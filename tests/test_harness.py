@@ -9,6 +9,7 @@ math — plus the second-run cache-hit-rate acceptance criterion.
 import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 
@@ -28,8 +29,15 @@ from repro.harness import (
     run_jobs,
     run_suite,
 )
-from repro.harness.jobs import cached_loop_run
+from repro.harness.jobs import (
+    cached_loop_run,
+    loop_tasks,
+    run_loops,
+    run_task,
+    sample_trips,
+)
 from repro.machine import ItaniumMachine
+from repro.sim.counters import PerfCounters
 from repro.workloads import benchmark_by_name, micro_suite, suite_by_name
 
 
@@ -151,6 +159,50 @@ class TestCacheDeterminism:
             assert_counters_equal(
                 outcome.result.counters, bare.result.counters
             )
+
+
+# --- per-loop unit -----------------------------------------------------------
+
+class TestLoopTasks:
+    """``run_loops`` is a fold of ``run_task`` over ``loop_tasks``."""
+
+    SEED = 2008
+
+    @pytest.fixture(scope="class")
+    def mcf(self):
+        bench = benchmark_by_name("429.mcf")
+        machine = ItaniumMachine()
+        tasks = loop_tasks(bench, hlo_cfg(), machine, self.SEED)
+        runs = [run_task(task, machine) for task in tasks]
+        return bench, machine, tasks, runs
+
+    def test_fold_matches_run_loops(self, mcf):
+        bench, machine, tasks, runs = mcf
+        assert len(tasks) == 2
+        total = 0.0
+        counters = PerfCounters()
+        for run in runs:
+            total += run.cycles
+            counters.merge(run.counters)
+        whole = run_loops(bench, hlo_cfg(), machine, self.SEED)
+        assert total == whole.loop_cycles
+        assert_counters_equal(counters, whole.counters)
+
+    def test_tasks_carry_the_sampled_trips_and_seeds(self, mcf):
+        bench, _, tasks, _ = mcf
+        for pos, task in enumerate(tasks):
+            assert (
+                task.trips.tolist()
+                == sample_trips(bench, pos, self.SEED).tolist()
+            )
+            assert task.seed == self.SEED + pos
+
+    def test_pickled_tasks_replay_identical_cycles(self, mcf):
+        _, machine, tasks, runs = mcf
+        for task, run in zip(pickle.loads(pickle.dumps(tasks)), runs):
+            replay = run_task(task, machine)
+            assert replay.cycles == run.cycles
+            assert_counters_equal(replay.counters, run.counters)
 
 
 # --- pool vs serial ----------------------------------------------------------

@@ -171,7 +171,7 @@ class TestStallAttribution:
 
 
 class TestCountersPlumbing:
-    def test_merge_and_scaled(self):
+    def test_merge(self):
         a = PerfCounters(unstalled=10, be_exe_bubble=5, loads_by_level={2: 1})
         b = PerfCounters(unstalled=1, be_exe_bubble=2, loads_by_level={2: 1})
         b.attribute_stall("x", 3.0)
@@ -179,9 +179,6 @@ class TestCountersPlumbing:
         assert a.unstalled == 11
         assert a.loads_by_level[2] == 2
         assert a.stall_by_consumer["x"] == 3.0
-        half = a.scaled(0.5)
-        assert half.unstalled == 5.5
-        assert half.total_cycles == pytest.approx(a.total_cycles / 2)
 
     def test_summary_text(self):
         c = PerfCounters(unstalled=50, be_exe_bubble=50)

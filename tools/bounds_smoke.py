@@ -3,10 +3,8 @@ import sys
 
 from repro.analysis.perfmodel import build_perf_model
 from repro.config import CompilerConfig, HintPolicy, baseline_config
-from repro.core.compiler import LoopCompiler
-from repro.harness.jobs import collect_profile, sample_trips
+from repro.harness.jobs import loop_tasks, run_task
 from repro.machine import ItaniumMachine
-from repro.sim.executor import simulate_loop
 from repro.workloads import cpu2000_suite, cpu2006_suite, micro_suite
 
 machine = ItaniumMachine()
@@ -21,16 +19,10 @@ checked = violations = 0
 slack_min = float("inf")
 for bench in suites:
     for config in configs:
-        profile = collect_profile(bench, 11) if config.pgo else None
-        compiler = LoopCompiler(machine, config)
-        for pos, lw in enumerate(bench.loops):
-            loop, layout = lw.build()
-            compiled = compiler.compile(loop, profile)
-            trips = sample_trips(bench, pos, 11)
-            sim = simulate_loop(
-                compiled.result, machine, layout, trips, seed=11 + pos,
-            )
-            model = build_perf_model(compiled.result, machine, layout)
+        for task in loop_tasks(bench, config, machine, 11):
+            compiled, trips = task.compiled, task.trips
+            sim = run_task(task, machine)
+            model = build_perf_model(compiled.result, machine, task.layout)
             rep = model.check_counters(trips, sim.counters, sim.cycles)
             checked += 1
             lo, up = model.cycle_interval(trips)
@@ -39,7 +31,7 @@ for bench in suites:
                 slack_min = min(slack_min, slack)
             tag = "OK " if rep.ok and not len(rep) else "BAD"
             status = (
-                f"{tag} {bench.name}/{loop.name} [{config.label}] "
+                f"{tag} {bench.name}/{compiled.loop.name} [{config.label}] "
                 f"pl={compiled.result.pipelined} ii={model.ii} "
                 f"cyc={sim.cycles:.0f} lo={lo:.0f} "
                 f"up={'inf' if up == float('inf') else f'{up:.0f}'} "

@@ -2,10 +2,10 @@
 """Profile the simulator hot path: where a loop run's time actually goes.
 
 For every hot loop of a suite this compiles the loop once, outside the
-profile, then profiles whole :func:`repro.sim.executor.simulate_loop`
-calls over the loop's full invocation sequence under :mod:`cProfile`:
-stream synthesis, the cache pre-warm and the per-cycle replay, as every
-sweep pays them::
+profile, through :func:`repro.harness.jobs.loop_tasks`, then profiles
+whole :func:`repro.harness.jobs.run_task` calls over the loop's full
+invocation sequence under :mod:`cProfile`: stream synthesis, the cache
+pre-warm and the per-cycle replay, as every sweep pays them::
 
     PYTHONPATH=src python tools/profile_sim.py
     PYTHONPATH=src python tools/profile_sim.py --sort cumtime --top 25
@@ -24,60 +24,24 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import dataclasses
 import io
 import pstats
 from pathlib import Path
 
 from repro.config import baseline_config
-from repro.core.compiler import LoopCompiler
-from repro.harness.jobs import collect_profile, sample_trips
+from repro.harness.jobs import LoopTask, loop_tasks, run_task
 from repro.machine.itanium2 import ItaniumMachine
-from repro.sim.executor import simulate_loop
 from repro.workloads.spec import suite_by_name
 
 
-@dataclasses.dataclass
-class _Prepared:
-    """One compiled loop and the run inputs :func:`run_loops` gives it."""
-
-    result: object
-    layout: dict
-    trips: list
-    seed: int
-
-
-def _prepare(suite: str, seed: int, machine: ItaniumMachine) -> list[_Prepared]:
-    """Compile every hot loop of ``suite``, with the trip counts and
-    seeds :func:`repro.harness.jobs.run_loops` uses."""
-    config = baseline_config()
-    prepared: list[_Prepared] = []
-    for bench in suite_by_name(suite):
-        profile = collect_profile(bench, seed) if config.pgo else None
-        compiler = LoopCompiler(machine, config)
-        for pos, lw in enumerate(bench.loops):
-            loop, layout = lw.build()
-            compiled = compiler.compile(loop, profile)
-            prepared.append(_Prepared(
-                result=compiled.result,
-                layout=layout,
-                trips=[int(t) for t in sample_trips(bench, pos, seed)],
-                seed=seed + pos,
-            ))
-    return prepared
-
-
 def profile_runs(
-    prepared: list, machine: ItaniumMachine, repeats: int = 3
+    tasks: list[LoopTask], machine: ItaniumMachine, repeats: int = 3
 ) -> pstats.Stats:
-    """One cProfile run covering every prepared loop's whole simulation."""
+    """One cProfile run covering every task's whole simulation."""
     profiler = cProfile.Profile()
     for _ in range(repeats):
-        for p in prepared:
-            profiler.runcall(
-                simulate_loop, p.result, machine, p.layout, p.trips,
-                seed=p.seed,
-            )
+        for task in tasks:
+            profiler.runcall(run_task, task, machine)
     return pstats.Stats(profiler)
 
 
@@ -187,10 +151,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     machine = ItaniumMachine()
-    prepared = _prepare(args.suite, args.seed, machine)
-    print(f"prepared {len(prepared)} loop(s) from suite {args.suite!r}")
+    config = baseline_config()
+    tasks = [
+        task
+        for bench in suite_by_name(args.suite)
+        for task in loop_tasks(bench, config, machine, args.seed)
+    ]
+    print(f"prepared {len(tasks)} loop(s) from suite {args.suite!r}")
 
-    stats = profile_runs(prepared, machine, args.repeats)
+    stats = profile_runs(tasks, machine, args.repeats)
     print(_text_report(stats, args.sort, args.top))
     if args.markdown:
         path = Path(args.markdown)
