@@ -28,9 +28,11 @@ def compiled_micro(machine):
 
     cells = []
     for bench in micro_suite():
-        profile = collect_profile(bench, seed=2008)
-        for lw in bench.loops:
-            loop, layout = lw.build()
+        built = [lw.build() for lw in bench.loops]
+        profile = collect_profile(
+            bench, [loop for loop, _ in built], seed=2008
+        )
+        for loop, layout in built:
             compiled = LoopCompiler(machine, hlo_cfg()).compile(loop, profile)
             cells.append((compiled.result, layout))
     return cells

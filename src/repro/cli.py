@@ -278,11 +278,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
         from repro.workloads import suite_by_name
 
         for bench in suite_by_name(args.suite):
+            built = [lw.build() for lw in bench.loops]
             profile = (
-                collect_profile(bench, args.seed) if config.pgo else None
+                collect_profile(bench, [loop for loop, _ in built], args.seed)
+                if config.pgo else None
             )
-            for lw in bench.loops:
-                loop, layout = lw.build()
+            for loop, layout in built:
                 check(loop, profile, layout)
 
     if not linted:

@@ -141,10 +141,10 @@ def _run_gap_task(payload: dict) -> list[dict]:
         from repro.workloads import benchmark_by_name
 
         bench = benchmark_by_name(payload["benchmark"])
-        profile = collect_profile(bench, payload["seed"])
+        loops = [lw.build()[0] for lw in bench.loops]
+        profile = collect_profile(bench, loops, payload["seed"])
         records = []
-        for lw in bench.loops:
-            loop, _ = lw.build()
+        for loop in loops:
             record = measure_loop(loop, machine, budget, profile)
             record["suite"] = bench.suite
             record["benchmark"] = bench.name

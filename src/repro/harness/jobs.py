@@ -31,6 +31,7 @@ from repro.config import CompilerConfig, baseline_config
 from repro.core.compiler import CompiledLoop, LoopCompiler
 from repro.core.results import SERIAL_SPLIT, BenchmarkResult, LoopOutcome
 from repro.hlo.profiles import BlockProfile, collect_block_profile
+from repro.ir.loop import Loop
 from repro.ir.printer import format_loop
 from repro.machine.itanium2 import ItaniumMachine
 from repro.sim.address import StreamSpec, stable_hash
@@ -98,12 +99,18 @@ class JobOutcome:
     status: str = "ok"
 
 
-def collect_profile(bench: Benchmark, seed: int) -> BlockProfile:
-    """The PGO block profile from the benchmark's training inputs."""
-    dists = {}
-    for lw in bench.loops:
-        loop, _ = lw.build()
-        dists[loop.name] = lw.data.train
+def collect_profile(
+    bench: Benchmark, loops: list[Loop], seed: int
+) -> BlockProfile:
+    """The PGO block profile from the benchmark's training inputs.
+
+    ``loops`` are the hot loops the caller built from ``bench.loops``,
+    in the same order.
+    """
+    dists = {
+        loop.name: lw.data.train
+        for loop, lw in zip(loops, bench.loops, strict=True)
+    }
     return collect_block_profile(dists, seed=seed)
 
 
@@ -177,18 +184,21 @@ def loop_tasks(
     config uses PGO; each loop's run replays its reference trip counts
     at stream seed ``seed + pos``.
     """
-    profile = collect_profile(bench, seed) if config.pgo else None
+    built = [lw.build() for lw in bench.loops]
+    profile = (
+        collect_profile(bench, [loop for loop, _ in built], seed)
+        if config.pgo else None
+    )
     compiler = LoopCompiler(machine, config)
-    tasks = []
-    for pos, lw in enumerate(bench.loops):
-        loop, layout = lw.build()
-        tasks.append(LoopTask(
+    return [
+        LoopTask(
             compiled=compiler.compile(loop, profile),
             layout=layout,
             trips=sample_trips(bench, pos, seed),
             seed=seed + pos,
-        ))
-    return tasks
+        )
+        for pos, (loop, layout) in enumerate(built)
+    ]
 
 
 def run_task(

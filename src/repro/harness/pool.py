@@ -52,8 +52,8 @@ def run_tasks(
 ):
     """Map ``fn`` over ``payloads``, returning results in submission order.
 
-    The generic engine under :func:`run_jobs` and the fuzzing campaign
-    driver: ``workers <= 1`` runs serially in-process; otherwise a
+    The generic engine under the fuzzing campaign and the optimality-gap
+    campaign: ``workers <= 1`` runs serially in-process; otherwise a
     supervised pool of forked workers executes ``fn(payload)`` calls
     concurrently.  ``fn`` must be picklable (a module-level callable or
     :func:`functools.partial` of one), and so must every payload and

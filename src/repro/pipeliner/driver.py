@@ -15,11 +15,19 @@ For each candidate II starting at Min II:
 
 Latency boosting is gated on the loop's average trip count against the
 configured threshold (the n of the Fig. 7 headroom experiment).
+
+:func:`retry_ladder` is the only implementation of this policy.  A
+scheduler plugs into it as a *step*: given one (II, policy) rung it
+yields candidate schedules, and the ladder keeps the first that
+allocates.  :func:`pipeline_loop` steps with the heuristic modulo
+scheduler; :func:`repro.pipeliner.optimal.optimal_pipeline_loop` steps
+with the exact one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from repro.config import CompilerConfig
 from repro.ddg.graph import DDG, build_ddg
@@ -35,6 +43,11 @@ from repro.pipeliner.scheduler import list_schedule_length, modulo_schedule
 from repro.pipeliner.stats import PipelineStats
 from repro.regalloc.nonrotating import StaticAllocation, allocate_static
 from repro.regalloc.rotating import RotatingAllocation, allocate_rotating
+
+#: one rung of the ladder: ``step(ddg, ii, criticality, last_try)``
+#: yields candidate schedules at ``ii`` in order of preference;
+#: ``last_try`` is set on the II's final (weakest) latency policy
+ScheduleStep = Callable[[DDG, int, Criticality, bool], Iterable[Schedule]]
 
 
 @dataclass
@@ -68,9 +81,8 @@ def resolve_criticality(
 ) -> Criticality:
     """The latency policy after every driver gate has been applied.
 
-    Shared by the heuristic driver and the exact one
-    (:func:`repro.pipeliner.optimal.optimal_pipeline_loop`) so that
-    heuristic-vs-optimal gaps measure the scheduler and nothing else.
+    The first rung of every II of :func:`retry_ladder`, whichever
+    scheduler steps it.
     """
     criticality = classify_loads(ddg, machine, bounds)
     if not config.respect_criticality:
@@ -102,6 +114,27 @@ def pipeline_loop(
     config: CompilerConfig | None = None,
 ) -> PipelineResult:
     """Software-pipeline ``loop`` under ``config`` (Sec. 3.3 flow)."""
+
+    def step(ddg: DDG, ii: int, crit: Criticality, last_try: bool):
+        schedule = modulo_schedule(ddg, machine, ii, crit)
+        if schedule is not None:
+            yield schedule
+
+    return retry_ladder(loop, machine, config, step)
+
+
+def retry_ladder(
+    loop: Loop,
+    machine: ItaniumMachine,
+    config: CompilerConfig | None,
+    step: ScheduleStep,
+) -> PipelineResult:
+    """Walk the Sec. 3.3 ladder, asking ``step`` for schedules per rung.
+
+    The first candidate that allocates rotating registers is pipelined;
+    when no rung up to the profitability cap yields one, the loop falls
+    back to its acyclic schedule.
+    """
     config = config or CompilerConfig()
     ddg = build_ddg(loop)
     bounds = compute_bounds(ddg, machine)
@@ -112,7 +145,6 @@ def pipeline_loop(
     # pipelining is pointless once the II reaches the sequential length
     max_ii = max(bounds.min_ii, seq_length)
     attempts = 0
-    latency_fallback = False
 
     for ii in range(bounds.min_ii, max_ii + 1):
         tries = [criticality]
@@ -120,34 +152,30 @@ def pipeline_loop(
             tries.append(criticality.demote_all())
         for try_no, crit in enumerate(tries):
             attempts += 1
-            schedule = modulo_schedule(ddg, machine, ii, crit)
-            if schedule is None:
-                continue
-            try:
-                rotating = allocate_rotating(schedule, machine)
-            except RegisterAllocationError:
-                continue
-            static = allocate_static(schedule, rotating.used)
-            kernel = generate_kernel(schedule, rotating)
-            if try_no > 0:
-                latency_fallback = True
-            stats = _collect_stats(
-                loop, bounds, schedule, rotating, static, crit,
-                attempts, latency_fallback,
-            )
-            return PipelineResult(
-                loop=loop,
-                ddg=ddg,
-                bounds=bounds,
-                pipelined=True,
-                stats=stats,
-                seq_length=seq_length,
-                schedule=schedule,
-                kernel=kernel,
-                rotating=rotating,
-                static=static,
-                criticality=crit,
-            )
+            for schedule in step(ddg, ii, crit, try_no == len(tries) - 1):
+                try:
+                    rotating = allocate_rotating(schedule, machine)
+                except RegisterAllocationError:
+                    continue
+                static = allocate_static(schedule, rotating.used)
+                kernel = generate_kernel(schedule, rotating)
+                stats = _collect_stats(
+                    loop, bounds, schedule, rotating, static, crit,
+                    attempts, latency_fallback=try_no > 0,
+                )
+                return PipelineResult(
+                    loop=loop,
+                    ddg=ddg,
+                    bounds=bounds,
+                    pipelined=True,
+                    stats=stats,
+                    seq_length=seq_length,
+                    schedule=schedule,
+                    kernel=kernel,
+                    rotating=rotating,
+                    static=static,
+                    criticality=crit,
+                )
 
     stats = PipelineStats(
         loop_name=loop.name,

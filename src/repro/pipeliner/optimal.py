@@ -38,13 +38,18 @@ this node budget.  When the budget runs out the per-II verdict is
 Infeasibility at the base-latency policy certifies the II for every
 policy of the driver's ladder, since boosting only adds constraints.
 
-:func:`optimal_pipeline_loop` mirrors :func:`~repro.pipeliner.driver
-.pipeline_loop` — same criticality gates, same boosted-then-demoted
-retry ladder, same profitability cap — so heuristic-vs-optimal gaps
-measure the scheduler and nothing else.  At every (II, policy) step
-where the exact schedule is missing or fails register allocation, the
-driver retries with the heuristic scheduler at that same II, which
-structurally guarantees ``optimal_ii <= heuristic_ii`` and termination.
+:func:`optimal_pipeline_loop` runs inside the driver's ladder
+(:func:`~repro.pipeliner.driver.retry_ladder`) — same criticality
+gates, same boosted-then-demoted retries, same profitability cap — and
+only proposes the schedules, so heuristic-vs-optimal gaps measure the
+scheduler and nothing else.  At every (II, policy) step where the exact
+schedule is missing or fails register allocation, the step also offers
+the heuristic schedule at that same II, which structurally guarantees
+``optimal_ii <= heuristic_ii`` and termination.  The certificate
+follows from the lower bound alone: a pipelined result is "optimal"
+when its II equals the bound, a sequential one is "infeasible" when
+the bound passed the profitability cap, and anything else is
+"capped".
 
 The solver is an oracle, not a production setting: nothing in
 :class:`~repro.config.CompilerConfig` selects it.  Callers that want it
@@ -67,21 +72,15 @@ from repro.ddg.cycles import ExpectedFn
 from repro.ddg.edges import LatencyQuery
 from repro.ddg.graph import DDG
 from repro.ddg.mindist import NO_PATH, mindist_matrix
-from repro.errors import RegisterAllocationError
 from repro.ir.loop import Loop
 from repro.ir.opcodes import UnitClass
 from repro.machine.itanium2 import ItaniumMachine
 from repro.machine.resources import ResourceModel
-from repro.pipeliner import driver as _driver
-from repro.pipeliner.bounds import compute_bounds
-from repro.pipeliner.driver import PipelineResult, resolve_criticality
-from repro.pipeliner.kernel import generate_kernel
+from repro.pipeliner.criticality import Criticality
+from repro.pipeliner.driver import PipelineResult, retry_ladder
 from repro.pipeliner.mrt import ModuloReservationTable
 from repro.pipeliner.schedule import Schedule
-from repro.pipeliner.scheduler import list_schedule_length, modulo_schedule
-from repro.pipeliner.stats import PipelineStats
-from repro.regalloc.nonrotating import allocate_static
-from repro.regalloc.rotating import allocate_rotating
+from repro.pipeliner.scheduler import modulo_schedule
 
 
 #: default node budget for the per-loop search (shared across IIs) — the
@@ -386,17 +385,6 @@ def solve_ii(
     return SolveOutcome(SolveStatus.FEASIBLE, times, nodes)
 
 
-def _allocate(schedule: Schedule, machine: ItaniumMachine):
-    """Rotating + static allocation and the kernel, or ``None``."""
-    try:
-        rotating = allocate_rotating(schedule, machine)
-    except RegisterAllocationError:
-        return None
-    static = allocate_static(schedule, rotating.used)
-    kernel = generate_kernel(schedule, rotating)
-    return rotating, static, kernel
-
-
 def optimal_pipeline_loop(
     loop: Loop,
     machine: ItaniumMachine,
@@ -405,118 +393,59 @@ def optimal_pipeline_loop(
 ) -> PipelineResult:
     """Pipeline ``loop`` with the exact scheduler (Sec. 3.3 ladder).
 
-    Identical gates and retry ladder to :func:`pipeline_loop`; at each
+    Runs inside :func:`~repro.pipeliner.driver.retry_ladder`: at each
     (II, policy) step the exact search runs first and the heuristic
     scheduler is the fallback.  The returned stats carry the optimality
-    metadata: ``optimal_status`` ("optimal" when the achieved II equals
-    the certified lower bound, "capped" when the node budget or register
-    allocation left a possible gap, "infeasible" when no II up to the
-    profitability cap admits a schedule), ``ii_lower_bound`` and
-    ``solver_nodes``.  ``budget`` caps the branch-and-bound nodes spent
-    on the loop, summed over every II tried.
+    metadata: ``ii_lower_bound``, the smallest II not proven
+    unschedulable; ``optimal_status``, which is "optimal" when the
+    achieved II equals that bound, "infeasible" when the bound passed
+    the profitability cap (no II admits a schedule) and "capped"
+    otherwise (the node budget or register allocation left a possible
+    gap); and ``solver_nodes``.  ``budget`` caps the branch-and-bound
+    nodes spent on the loop, summed over every II tried.
     """
-    config = config or CompilerConfig()
-    ddg = _driver.build_ddg(loop)
-    bounds = compute_bounds(ddg, machine)
-    seq_length = list_schedule_length(ddg, machine)
-    criticality = resolve_criticality(loop, ddg, machine, bounds, config)
-
-    max_ii = max(bounds.min_ii, seq_length)
-    attempts = 0
-    latency_fallback = False
     budget_left = budget
-    total_nodes = 0
-    # smallest II not yet proven unschedulable; advances while every II
-    # below the current one is INFEASIBLE under the weakest policy
-    lower_bound = bounds.min_ii
-    proven_below = True
-    query = machine.latency_query
+    # IIs proven unschedulable under their weakest policy, which
+    # certifies them for every policy of the ladder
+    proven: set[int] = set()
 
-    for ii in range(bounds.min_ii, max_ii + 1):
-        tries = [criticality]
-        if criticality.boosted:
-            tries.append(criticality.demote_all())
-        weakest_infeasible = False
-        for try_no, crit in enumerate(tries):
-            attempts += 1
-            outcome = solve_ii(
-                ddg, ii, query, crit.expected_fn, machine.resources,
-                budget_left,
-            )
-            budget_left -= outcome.nodes
-            total_nodes += outcome.nodes
-            if try_no == len(tries) - 1:
-                # base latencies are the weakest constraints: proving
-                # them infeasible certifies the II for every policy
-                weakest_infeasible = outcome.status is SolveStatus.INFEASIBLE
-
-            schedule = None
-            artifact = None
-            if outcome.status is SolveStatus.FEASIBLE:
-                schedule = Schedule(
-                    ddg=ddg, ii=ii, times=outcome.times, machine=machine,
-                    criticality=crit, attempts=attempts,
-                )
-                schedule.verify()
-                artifact = _allocate(schedule, machine)
-            if artifact is None and outcome.status is not SolveStatus.INFEASIBLE:
-                # exact schedule missing (budget) or unallocatable: the
-                # heuristic retry at this same (II, policy) guarantees
-                # we never do worse than pipeline_loop
-                fallback = modulo_schedule(ddg, machine, ii, crit)
-                if fallback is not None:
-                    allocated = _allocate(fallback, machine)
-                    if allocated is not None:
-                        schedule = fallback
-                        artifact = allocated
-            if artifact is None:
-                continue
-            rotating, static, kernel = artifact
-            if try_no > 0:
-                latency_fallback = True
-            stats = _driver._collect_stats(
-                loop, bounds, schedule, rotating, static, crit,
-                attempts, latency_fallback,
-            )
-            stats.scheduler = "optimal"
-            stats.optimal_status = "optimal" if proven_below else "capped"
-            stats.ii_lower_bound = lower_bound
-            stats.solver_nodes = total_nodes
-            return PipelineResult(
-                loop=loop,
-                ddg=ddg,
-                bounds=bounds,
-                pipelined=True,
-                stats=stats,
-                seq_length=seq_length,
-                schedule=schedule,
-                kernel=kernel,
-                rotating=rotating,
-                static=static,
+    def step(ddg: DDG, ii: int, crit: Criticality, last_try: bool):
+        nonlocal budget_left
+        outcome = solve_ii(
+            ddg, ii, machine.latency_query, crit.expected_fn,
+            machine.resources, budget_left,
+        )
+        budget_left -= outcome.nodes
+        if outcome.status is SolveStatus.INFEASIBLE:
+            if last_try:
+                proven.add(ii)
+            return
+        if outcome.status is SolveStatus.FEASIBLE:
+            schedule = Schedule(
+                ddg=ddg, ii=ii, times=outcome.times, machine=machine,
                 criticality=crit,
             )
-        proven_below = proven_below and weakest_infeasible
-        if proven_below:
-            lower_bound = ii + 1
+            schedule.verify()
+            yield schedule
+        # exact schedule missing (budget) or unallocatable: the
+        # heuristic retry at this same (II, policy) guarantees we never
+        # do worse than pipeline_loop
+        fallback = modulo_schedule(ddg, machine, ii, crit)
+        if fallback is not None:
+            yield fallback
 
-    stats = PipelineStats(
-        loop_name=loop.name,
-        pipelined=False,
-        ii=seq_length,
-        res_ii=bounds.res_ii,
-        rec_ii=bounds.rec_ii,
-        attempts=attempts,
-        total_loads=len(loop.loads),
-        scheduler="optimal",
-        optimal_status="infeasible" if proven_below else "capped",
-        ii_lower_bound=lower_bound,
-        solver_nodes=total_nodes,
-    )
-    return PipelineResult(
-        loop=loop,
-        ddg=ddg,
-        bounds=bounds,
-        pipelined=False,
-        stats=stats,
-        seq_length=seq_length,
-    )
+    result = retry_ladder(loop, machine, config, step)
+    lower_bound = result.bounds.min_ii
+    while lower_bound in proven:
+        lower_bound += 1
+    if result.pipelined:
+        status = "optimal" if result.ii == lower_bound else "capped"
+    else:
+        cap = max(result.bounds.min_ii, result.seq_length)
+        status = "infeasible" if lower_bound == cap + 1 else "capped"
+    stats = result.stats
+    stats.scheduler = "optimal"
+    stats.optimal_status = status
+    stats.ii_lower_bound = lower_bound
+    stats.solver_nodes = budget - budget_left
+    return result

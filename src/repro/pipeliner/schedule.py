@@ -62,7 +62,6 @@ class Schedule:
     times: dict[Instruction, int]
     machine: ItaniumMachine
     criticality: Criticality
-    attempts: int = 1
 
     def __post_init__(self) -> None:
         if self.times:

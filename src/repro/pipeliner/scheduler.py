@@ -73,7 +73,6 @@ def modulo_schedule(
     prev_time: dict[Instruction, int] = {}
     unscheduled: set[Instruction] = set(ddg.nodes)
     budget = max(BUDGET_RATIO * len(ddg.nodes), 32)
-    attempts = 0
 
     def unschedule(inst: Instruction) -> None:
         mrt.remove(inst)
@@ -95,7 +94,6 @@ def modulo_schedule(
         if budget <= 0:
             return None
         budget -= 1
-        attempts += 1
         op = min(unscheduled, key=lambda i: priority[i])
 
         estart = 0
@@ -145,7 +143,6 @@ def modulo_schedule(
         times=dict(times),
         machine=machine,
         criticality=criticality,
-        attempts=attempts,
     )
     schedule.verify()
     return schedule

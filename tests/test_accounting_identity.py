@@ -28,8 +28,10 @@ CONFIGS = {
 
 def _loops(suite_name):
     for bench in suite_by_name(suite_name):
-        for lw in bench.loops:
-            yield bench, lw
+        built = [lw.build() for lw in bench.loops]
+        loops = [loop for loop, _ in built]
+        for loop, layout in built:
+            yield bench, loops, loop, layout
 
 
 @pytest.mark.parametrize("suite_name", SUITES)
@@ -38,9 +40,10 @@ def test_identity_holds_for_every_suite_loop(suite_name, config_name):
     machine = ItaniumMachine()
     config = CONFIGS[config_name]
     failures = []
-    for bench, lw in _loops(suite_name):
-        profile = collect_profile(bench, seed=2008) if config.pgo else None
-        loop, layout = lw.build()
+    for bench, loops, loop, layout in _loops(suite_name):
+        profile = (
+            collect_profile(bench, loops, seed=2008) if config.pgo else None
+        )
         compiled = LoopCompiler(machine, config).compile(loop, profile)
         sim = simulate_loop(
             compiled.result, machine, layout, [50, 30],

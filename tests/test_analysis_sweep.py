@@ -47,9 +47,9 @@ def test_suite_verifies_clean(suite, config):
     compiler = LoopCompiler(ItaniumMachine(), config)
     failures = []
     for bench in suite_by_name(suite):
-        profile = collect_profile(bench, SEED) if config.pgo else None
-        for lw in bench.loops:
-            loop, _ = lw.build()
+        loops = [lw.build()[0] for lw in bench.loops]
+        profile = collect_profile(bench, loops, SEED) if config.pgo else None
+        for loop in loops:
             report = verify_compiled(compiler.compile(loop, profile))
             if report.errors:
                 failures.append(

@@ -50,9 +50,9 @@ def assert_clean_pair(record, context):
     "suite,bench", _BENCHES, ids=[f"{s}-{b.name}" for s, b in _BENCHES]
 )
 def test_every_suite_loop_pair_is_clean(suite, bench):
-    profile = collect_profile(bench, SEED)
-    for lw in bench.loops:
-        loop, _ = lw.build()
+    loops = [lw.build()[0] for lw in bench.loops]
+    profile = collect_profile(bench, loops, SEED)
+    for loop in loops:
         record = measure_loop(loop, MACHINE, BUDGET, profile)
         assert_clean_pair(record, f"{suite}/{bench.name}/{loop.name}")
 
@@ -61,9 +61,9 @@ def test_suite_loops_all_proven_optimal():
     """On itanium2 the default budget proves optimality for every
     pipelined suite loop — the committed BENCH report's headline."""
     for suite, bench in _BENCHES:
-        profile = collect_profile(bench, SEED)
-        for lw in bench.loops:
-            loop, _ = lw.build()
+        loops = [lw.build()[0] for lw in bench.loops]
+        profile = collect_profile(bench, loops, SEED)
+        for loop in loops:
             record = measure_loop(loop, MACHINE, BUDGET, profile)
             if record["gaps"] is not None:
                 assert record["optimal"]["status"] == "optimal", (

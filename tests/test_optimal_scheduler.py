@@ -8,10 +8,14 @@ hand-written loops; the suite-wide differential evidence lives in
 ``tests/test_optimal_gap.py``.
 """
 
+from functools import partial
+from pathlib import Path
+
 from repro.analysis import verify_result
-from repro.config import CompilerConfig, HintPolicy
+from repro.config import CompilerConfig, HintPolicy, baseline_config
 from repro.core.compiler import LoopCompiler
 from repro.ddg.graph import build_ddg
+from repro.harness.jobs import collect_profile
 from repro.ir import parse_loop
 from repro.machine import ItaniumMachine
 from repro.pipeliner import (
@@ -21,6 +25,7 @@ from repro.pipeliner import (
     pipeline_loop,
     solve_ii,
 )
+from repro.workloads import suite_by_name
 
 COPY_ADD = """
 memref A affine stride=4 space=a
@@ -218,3 +223,59 @@ class TestOptimalDriver:
         assert compiled.stats.scheduler == "optimal"
         report = verify_result(compiled.result)
         assert report.ok, report.render_text()
+
+
+def _ladder_cases():
+    """(name, loop, profile) for every suite loop and corpus loop."""
+    for suite in ("cpu2000", "cpu2006", "micro"):
+        for bench in suite_by_name(suite):
+            loops = [lw.build()[0] for lw in bench.loops]
+            profile = collect_profile(bench, loops, seed=2008)
+            for loop in loops:
+                yield f"{bench.name}/{loop.name}", loop, profile
+    corpus = Path(__file__).parent / "corpus"
+    for path in sorted(corpus.glob("*.loop")):
+        yield path.stem, parse_loop(path.read_text()), None
+
+
+def _ladder_walk(result):
+    stats = result.stats
+    times = None
+    if result.schedule is not None:
+        times = sorted(
+            (inst.index, t) for inst, t in result.schedule.times.items()
+        )
+    return (
+        result.pipelined, stats.ii, stats.stage_count, stats.attempts,
+        stats.latency_fallback, times,
+    )
+
+
+class TestSharedLadder:
+    def test_zero_budget_retraces_the_heuristic_ladder(self):
+        """With no node budget every exact step falls back to the
+        heuristic schedule, so the exact driver must walk
+        ``pipeline_loop``'s ladder rung for rung: same outcome, II,
+        stages, attempt count, latency fallback and schedule."""
+        machine = ItaniumMachine()
+        configs = [
+            baseline_config(),
+            CompilerConfig(hint_policy=HintPolicy.HLO, name="hlo"),
+            CompilerConfig(
+                hint_policy=HintPolicy.ALL_LOADS_L3,
+                trip_count_threshold=0,
+                name="l3-n0",
+            ),
+        ]
+        exact = partial(optimal_pipeline_loop, budget=0)
+        cases = list(_ladder_cases())
+        drifts = []
+        for config in configs:
+            compiler = LoopCompiler(machine, config)
+            for name, loop, profile in cases:
+                heur = compiler.compile(loop, profile).result
+                opt = compiler.compile(loop, profile, pipeliner=exact).result
+                if _ladder_walk(opt) != _ladder_walk(heur):
+                    drifts.append(f"{config.label}: {name}")
+        assert len(cases) > 60
+        assert not drifts, drifts

@@ -176,9 +176,11 @@ class TestClosedAccounting:
             else CompilerConfig(trip_count_threshold=32)
         )
         for bench in micro_suite():
-            profile = collect_profile(bench, seed=2008)
-            for lw in bench.loops:
-                loop, layout = lw.build()
+            built = [lw.build() for lw in bench.loops]
+            profile = collect_profile(
+                bench, [loop for loop, _ in built], seed=2008
+            )
+            for loop, layout in built:
                 from repro.core.compiler import LoopCompiler
 
                 compiled = LoopCompiler(machine, config).compile(loop, profile)

@@ -33,11 +33,11 @@ def trace_stream(seed=13):
     from repro.harness.jobs import collect_profile
 
     bench = next(b for b in micro_suite() if "stream" in b.name)
-    lw = bench.loops[0]
+    (lw,) = bench.loops
     loop, layout = lw.build()
     machine = ItaniumMachine()
     compiled = LoopCompiler(machine, hlo_cfg()).compile(
-        loop, collect_profile(bench, seed)
+        loop, collect_profile(bench, [loop], seed)
     )
     return trace_simulation(
         compiled.result, machine, layout, [120, 80], seed=seed

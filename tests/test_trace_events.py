@@ -157,9 +157,11 @@ class TestEventSemantics:
         config = CompilerConfig(trip_count_threshold=32)  # prefetching on
         seen = set()
         for bench in micro_suite():
-            profile = collect_profile(bench, seed=2008)
-            for lw in bench.loops:
-                loop, layout = lw.build()
+            built = [lw.build() for lw in bench.loops]
+            profile = collect_profile(
+                bench, [loop for loop, _ in built], seed=2008
+            )
+            for loop, layout in built:
                 compiled = LoopCompiler(machine, config).compile(loop, profile)
                 sink = CaptureSink()
                 simulate_loop(compiled.result, machine, layout, [60, 40],
