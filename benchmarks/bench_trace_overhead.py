@@ -60,19 +60,25 @@ def test_null_sink_overhead_under_5_percent(compiled_micro, machine, record):
     null = _time_suite(compiled_micro, machine, sink=NullSink())
     attributed = _time_suite(compiled_micro, machine, sink=StallAttribution())
     overhead = (null / base - 1.0) * 100.0
-    record(
-        "trace_overhead",
-        "\n".join([
-            f"untraced:          {base * 1e3:8.2f} ms/suite",
-            f"NullSink:          {null * 1e3:8.2f} ms/suite "
-            f"({overhead:+.1f}%)",
-            f"StallAttribution:  {attributed * 1e3:8.2f} ms/suite "
-            f"({(attributed / base - 1.0) * 100.0:+.1f}%)",
-        ]),
-    )
+    # host timings vary run to run: printed, never written to results/
+    print("\n".join([
+        f"untraced:          {base * 1e3:8.2f} ms/suite",
+        f"NullSink:          {null * 1e3:8.2f} ms/suite "
+        f"({overhead:+.1f}%)",
+        f"StallAttribution:  {attributed * 1e3:8.2f} ms/suite "
+        f"({(attributed / base - 1.0) * 100.0:+.1f}%)",
+    ]))
     # medians jitter a couple of percent on shared CI runners; the
     # acceptance bound is 5 with a little slack for the timer itself
     assert overhead < 5.0, f"NullSink overhead {overhead:.1f}% >= 5%"
+    record(
+        "trace_overhead",
+        "\n".join([
+            f"cells:     {len(compiled_micro)} micro loops under HLO, "
+            "400 trips each, median of 9 timed rounds",
+            "NullSink:  overhead over untraced < 5% (holds)",
+        ]),
+    )
 
 
 def test_trace_flag_through_harness(benchmark, machine):

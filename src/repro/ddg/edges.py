@@ -70,10 +70,6 @@ class DepEdge:
         if self.omega < 0:
             raise DependenceError(f"negative dependence distance: {self}")
 
-    @property
-    def loop_carried(self) -> bool:
-        return self.omega >= 1
-
     def latency(self, query: LatencyQuery, expected: bool = False) -> int:
         """Resolve this edge's latency.
 

@@ -57,9 +57,6 @@ class DDG:
     def preds(self, inst: Instruction) -> list[DepEdge]:
         return self._preds.get(inst.index, [])
 
-    def flow_preds(self, inst: Instruction) -> list[DepEdge]:
-        return [e for e in self.preds(inst) if e.kind is DepKind.FLOW]
-
     def first_uses_of_load(self, load: Instruction) -> list[DepEdge]:
         """FLOW edges carrying the load's *data* result (not the post-inc)."""
         data_defs = set(load.defs)

@@ -42,10 +42,6 @@ class MachineModelError(ReproError):
     """Invalid machine-model query (unknown unit class, bad hint, ...)."""
 
 
-class SimulationError(ReproError):
-    """The hardware simulator was driven into an invalid state."""
-
-
 class WorkloadError(ReproError):
     """A synthetic workload definition is inconsistent."""
 

@@ -27,7 +27,7 @@ import random
 from repro.ir.builder import LoopBuilder
 from repro.ir.loop import Loop, TripCountSource
 from repro.ir.memref import AccessPattern, LatencyHint, MemRef
-from repro.ir.registers import Reg, RegClass
+from repro.ir.registers import Reg
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,8 +290,3 @@ def loop_fingerprint(loop: Loop) -> dict:
             for inst in loop.body
         ],
     }
-
-
-def regclass_of(token: str) -> RegClass:
-    """Inverse of :func:`_reg_token`'s class prefix (test helper)."""
-    return {"r": RegClass.GR, "f": RegClass.FR, "p": RegClass.PR}[token[0]]

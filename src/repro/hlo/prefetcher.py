@@ -56,12 +56,6 @@ class PrefetchDecision:
     reduced: str | None = None
     efficiency: float = 0.0
 
-    @property
-    def suboptimal(self) -> bool:
-        return not self.emitted or self.reduced in ("symbolic", "indirect") or (
-            self.l2_only
-        )
-
 
 @dataclass
 class PrefetchPlan:

@@ -60,11 +60,6 @@ class RefMissStats:
     def mean_latency(self) -> float:
         return self.latency_sum / self.samples if self.samples else 0.0
 
-    def level_fraction(self, level: int) -> float:
-        if not self.samples:
-            return 0.0
-        return self.levels.get(level, 0) / self.samples
-
     def add(self, level: int, latency: float) -> None:
         self.levels[level] = self.levels.get(level, 0) + 1
         for cls, bound in enumerate(_LATENCY_BUCKETS, start=1):

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import MachineModelError
 from repro.machine.hints import (
-    BEST_CASE_TRANSLATION,
     HintTranslation,
     TYPICAL_TRANSLATION,
 )
@@ -342,21 +341,6 @@ class MachineDescription:
     @property
     def latency_override_map(self) -> dict[str, int]:
         return dict(self.latency_overrides)
-
-
-def named_translation(name: str) -> HintTranslation:
-    """Resolve a hint-translation preset by name."""
-    table = {
-        TYPICAL_TRANSLATION.name: TYPICAL_TRANSLATION,
-        BEST_CASE_TRANSLATION.name: BEST_CASE_TRANSLATION,
-    }
-    try:
-        return table[name]
-    except KeyError:
-        raise MachineModelError(
-            f"unknown hint translation {name!r}; "
-            f"expected one of {sorted(table)}"
-        ) from None
 
 
 # --- the registry ----------------------------------------------------------

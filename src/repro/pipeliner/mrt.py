@@ -101,15 +101,6 @@ class ModuloReservationTable:
     def occupants_of_row(self, row: int) -> list[Instruction]:
         return [inst for inst, (r, _) in self._placed.items() if r == row]
 
-    def conflicting_unit(self, inst: Instruction) -> tuple[UnitClass, ...]:
-        """Unit classes whose occupants could block ``inst``."""
-        choices = self._unit_choices(inst)
-        if not choices:
-            return tuple(self.resources.capacities)
-        expanded: set[UnitClass] = set(choices)
-        # A-type occupants holding I or M slots also compete
-        return tuple(expanded)
-
     def __contains__(self, inst: Instruction) -> bool:
         return inst in self._placed
 

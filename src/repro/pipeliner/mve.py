@@ -100,10 +100,6 @@ class UnrolledKernel:
         size is exactly one loop body."""
         return self.total_ops / max(1, body_size)
 
-    @property
-    def register_instances(self) -> int:
-        return sum(self.instances.values())
-
     def format(self, max_copies: int = 2) -> str:
         lines = [
             f"L_{self.loop_name}_mve:  // II={self.ii}, "

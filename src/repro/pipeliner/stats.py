@@ -44,13 +44,6 @@ class PipelineStats:
     #: branch-and-bound nodes spent across all IIs (exact scheduler only)
     solver_nodes: int = 0
 
-    @property
-    def extra_stages_cost(self) -> int:
-        return max(0, self.stage_count - 1)
-
-    def register_total(self, rclass: RegClass) -> int:
-        return self.registers.get(rclass, 0)
-
     def summary(self) -> str:
         mode = "pipelined" if self.pipelined else "not pipelined"
         boosts = f", boosted {self.boosted_loads}/{self.total_loads} loads"

@@ -6,6 +6,12 @@ against the routes in :mod:`repro.service.server` is supported usage).
 Built on :mod:`http.client` so the client side, like the server side,
 needs nothing outside the standard library.
 
+Each thread keeps one persistent connection per client.  A reused
+connection that the server has meanwhile closed fails before any
+response arrives; the request is then resent once on a new connection,
+which is safe because every route is idempotent (a resubmission dedups
+or is served from the store).
+
 Error contract: any response with status >= 400 raises
 :class:`~repro.errors.ServiceError` carrying the HTTP status and the
 server's ``error`` message; transport failures raise ``ServiceError``
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 import urllib.parse
 
@@ -26,7 +33,7 @@ _TERMINAL = ("done", "error", "timeout")
 
 
 class ServiceClient:
-    """One service endpoint; a new connection per request."""
+    """One service endpoint; one keep-alive connection per thread."""
 
     def __init__(self, base_url: str, *, timeout: float = 120.0) -> None:
         split = urllib.parse.urlsplit(base_url)
@@ -39,6 +46,7 @@ class ServiceClient:
         self.host = host or "127.0.0.1"
         self.port = int(port) if port else 80
         self.timeout = timeout
+        self._local = threading.local()
 
     @property
     def base_url(self) -> str:
@@ -49,19 +57,35 @@ class ServiceClient:
         payload = json.dumps(body).encode("utf-8") if body is not None \
             else None
         headers = {"Content-Type": "application/json"} if payload else {}
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout or self.timeout
-        )
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self.host, self.port
+            )
+        conn.timeout = timeout or self.timeout
+        reused = conn.sock is not None
+        if reused:
+            conn.sock.settimeout(conn.timeout)
         try:
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # includes RemoteDisconnected: the server closed the
+                # connection since its last reply; resend on a new one
+                conn.close()
+                if not reused:
+                    raise
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+            # a "Connection: close" reply leaves conn unconnected, so the
+            # next request opens a new connection
             raw = response.read()
         except (OSError, http.client.HTTPException) as exc:
+            conn.close()
             raise ServiceError(
                 f"service unreachable at {self.base_url}: {exc}"
             ) from None
-        finally:
-            conn.close()
         try:
             data = json.loads(raw) if raw else {}
         except json.JSONDecodeError:

@@ -3,8 +3,9 @@
 One process, three moving parts:
 
 * an ``asyncio.start_server`` loop speaking a deliberately small subset
-  of HTTP/1.1 (JSON bodies, ``Content-Length`` framing, one request per
-  connection) — no framework, no threads on the request path;
+  of HTTP/1.1 (JSON bodies, ``Content-Length`` framing, keep-alive
+  connections that carry requests in order) — no framework, no threads
+  on the request path;
 * the request pipeline: validate → canonicalise → content-key →
   *artifact-store lookup* (a stored result is served without touching a
   worker) → *in-flight dedup* (an identical queued/running job absorbs
@@ -79,6 +80,8 @@ _TERMINAL = (DONE, ERROR, TIMEOUT)
 
 #: cap on one long-poll wait; clients loop for longer waits
 MAX_WAIT_S = 60.0
+#: a connection that sends no complete request head for this long closes
+IDLE_TIMEOUT_S = 30.0
 
 
 @dataclasses.dataclass
@@ -170,6 +173,10 @@ class ReproService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopped = asyncio.Event()
         self._shutting_down = False
+        #: connection handlers, and the writers of those waiting for a
+        #: request head; shutdown closes the waiting ones
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
         self._started_mono = time.monotonic()
         self.stats = {
             "submitted": 0,       # job submissions seen (incl. dupes)
@@ -201,13 +208,13 @@ class ReproService:
         )
 
     async def shutdown(self, *, drain: bool = True) -> None:
-        """Stop accepting, drain in-flight jobs, close the pool."""
+        """Stop accepting, drain in-flight jobs, close the pool, then
+        close every connection."""
         if self._shutting_down:
             return
         self._shutting_down = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         pending = [
             record for record in self.records.values()
             if record.status not in _TERMINAL
@@ -229,6 +236,15 @@ class ReproService:
                 )
         if self.pool is not None:
             self.pool.close()
+        # busy connections close after their reply; idle ones would wait
+        # out IDLE_TIMEOUT_S, and Server.wait_closed() waits for them all
+        # on Python 3.12+
+        for writer in self._idle:
+            writer.close()
+        if self._handlers:
+            await asyncio.wait(self._handlers)
+        if self._server is not None:
+            await self._server.wait_closed()
         self.log.event("shutdown", **self.stats)
         self.log.close()
         self._stopped.set()
@@ -378,40 +394,68 @@ class ReproService:
     # --- HTTP plumbing -------------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Answer one connection's requests in order until a reply closes
+        it, the client does, or it idles for IDLE_TIMEOUT_S."""
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        try:
+            while not self._shutting_down:
+                self._idle.add(writer)
+                try:
+                    head = await asyncio.wait_for(
+                        reader.readuntil(b"\r\n\r\n"), IDLE_TIMEOUT_S
+                    )
+                except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
+                        asyncio.TimeoutError, ConnectionError):
+                    return
+                finally:
+                    self._idle.discard(writer)
+                if not await self._answer(head, reader, writer):
+                    return
+        finally:
+            self._handlers.discard(task)
+            writer.close()
+
+    async def _answer(self, head: bytes, reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> bool:
+        """Read the body, route and reply; whether the connection stays
+        open for another request."""
         start = time.perf_counter()
-        method, path, query = "?", "?", {}
+        method, path, keep_alive = "?", "?", False
         status, payload = 500, {"error": "internal error"}
         try:
-            method, path, query, body = await self._read_request(reader)
+            method, path, query, body, keep_alive = await self._read_request(
+                head, reader
+            )
             status, payload = await self._route(method, path, query, body)
         except _HttpError as exc:
             status, payload = exc.status, exc.payload
-        except (asyncio.IncompleteReadError, ConnectionError, TimeoutError):
-            writer.close()
-            return
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return False
         except Exception as exc:  # noqa: BLE001 - must answer something
             status, payload = 500, {"error": f"internal error: {exc}"}
             self.log.event("internal-error", path=path, error=repr(exc))
+        keep_alive = keep_alive and status < 400 and not self._shutting_down
         try:
-            await self._respond(writer, status, payload)
+            await self._respond(writer, status, payload, keep_alive)
         except (ConnectionError, OSError):
-            pass
+            keep_alive = False
         self.log.request(
             method, path, status, time.perf_counter() - start
         )
+        return keep_alive
 
-    async def _read_request(self, reader: asyncio.StreamReader):
-        line = await asyncio.wait_for(reader.readline(), 30.0)
-        parts = line.decode("latin-1").split()
+    async def _read_request(self, head: bytes,
+                            reader: asyncio.StreamReader):
+        """Parse a request head, then read its ``Content-Length`` body."""
+        line, *lines = head.decode("latin-1").split("\r\n")
+        parts = line.split()
         if len(parts) != 3:
             raise _HttpError(400, "malformed request line")
-        method, target, _version = parts
+        method, target, version = parts
         headers = {}
-        while True:
-            header = await asyncio.wait_for(reader.readline(), 30.0)
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
+        for header in lines:
+            name, _, value = header.partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", "0"))
@@ -431,10 +475,14 @@ class ReproService:
             name: values[-1]
             for name, values in urllib.parse.parse_qs(split.query).items()
         }
-        return method.upper(), split.path, query, body
+        keep_alive = version == "HTTP/1.1" and "close" not in (
+            token.strip() for token in
+            headers.get("connection", "").lower().split(",")
+        )
+        return method.upper(), split.path, query, body, keep_alive
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: dict) -> None:
+                       payload: dict, keep_alive: bool) -> None:
         reason = {
             200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
@@ -449,10 +497,11 @@ class ReproService:
         )
         if status == 429:
             head += f"Retry-After: {int(payload.get('retry_after_s', 1))}\r\n"
-        head += "Connection: close\r\n\r\n"
+        head += (
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+        )
         writer.write(head.encode("latin-1") + body)
         await writer.drain()
-        writer.close()
 
     # --- routing -------------------------------------------------------------
     async def _route(self, method: str, path: str, query: dict, body):

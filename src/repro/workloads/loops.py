@@ -323,13 +323,6 @@ def l2_resident_fp(
     return stream_fp(name, working_set=working_set, reuse=True)
 
 
-def l3_resident_int(
-    name: str, working_set: int = 6 * MB
-) -> tuple[Loop, dict[str, StreamSpec]]:
-    """Integer data in L3: moderate-latency misses, prefetchable."""
-    return stream_int(name, streams=2, working_set=working_set, reuse=True)
-
-
 def cache_resident_gather(
     name: str, working_set: int = 48 * KB
 ) -> tuple[Loop, dict[str, StreamSpec]]:

@@ -79,10 +79,6 @@ def _fp_gather(name: str, data_set: int = 8 * MB, index_set: int = 2 * MB):
     )
 
 
-def _int_gather(name: str, data_set: int = 16 * MB, index_set: int = 4 * MB):
-    return partial(T.gather, name, index_set=index_set, data_set=data_set)
-
-
 def _serial_only(name: str, suite: str) -> Benchmark:
     """A benchmark whose hot loops are cache-resident and tiny: the
     optimization never fires meaningfully (gcc/perlbench/crafty class)."""

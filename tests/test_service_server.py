@@ -2,18 +2,27 @@
 
 Everything here goes over a real socket: a server on a private event-loop
 thread, the stdlib :class:`~repro.service.client.ServiceClient` on the
-other end.  Covers the ISSUE checklist items that live at this layer —
-dedup of simultaneous identical submissions, backpressure (429), store
-maintenance over HTTP, the results API, and store-served replays across
-a server restart.
+other end.  Covers dedup of simultaneous identical submissions,
+backpressure (429), store maintenance over HTTP, the results API,
+store-served replays across a server restart, and the connection model
+(keep-alive, when a connection closes, shutdown with idle connections
+open, the client's one resend), the last over raw sockets where framing
+matters.
 """
 
+import gc
+import json
+import multiprocessing
+import socket
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.service import ServerConfig, ServiceClient, serve_in_thread
+from repro.service import server as server_module
 
 COPY_ADD = (
     Path(__file__).resolve().parent.parent
@@ -229,3 +238,143 @@ def test_stats_exposes_pool_and_store_health(service):
     assert stats["pool"] == {"reaped": 0, "crashed": 0}
     assert stats["store"]["root"].endswith("store")
     assert service.health() is True
+
+
+# --- connections --------------------------------------------------------------
+
+def _connect(handle) -> socket.socket:
+    return socket.create_connection(
+        (handle.service.config.host, handle.service.port), timeout=5.0
+    )
+
+
+def _read_response(stream) -> tuple[int, dict, dict]:
+    """(status, headers, JSON body) of the next response on ``stream``."""
+    status = int(stream.readline().split()[1])
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = json.loads(stream.read(int(headers["content-length"])))
+    return status, headers, body
+
+
+def _get(path: str, *, version: str = "HTTP/1.1", extra: str = "") -> bytes:
+    return f"GET {path} {version}\r\nHost: x\r\n{extra}\r\n".encode()
+
+
+@pytest.fixture
+def handle(tmp_path):
+    handle = serve_in_thread(make_config(tmp_path))
+    yield handle
+    handle.stop()
+
+
+def test_two_requests_share_one_connection(handle):
+    with _connect(handle) as sock, sock.makefile("rb") as stream:
+        sock.sendall(_get("/v1/healthz"))
+        status, headers, body = _read_response(stream)
+        assert (status, body) == (200, {"ok": True})
+        assert headers["connection"] == "keep-alive"
+        sock.sendall(_get("/v1/stats"))
+        status, headers, body = _read_response(stream)
+        assert status == 200 and body["workers"] == 2
+        assert headers["connection"] == "keep-alive"
+
+
+def test_pipelined_requests_are_answered_in_order(handle):
+    with _connect(handle) as sock, sock.makefile("rb") as stream:
+        sock.sendall(_get("/v1/stats") + _get("/v1/healthz"))
+        assert "uptime_s" in _read_response(stream)[2]
+        assert _read_response(stream)[2] == {"ok": True}
+
+
+@pytest.mark.parametrize("request_bytes", [
+    _get("/v1/healthz", version="HTTP/1.0"),
+    _get("/v1/healthz", extra="Connection: close\r\n"),
+], ids=["http-1.0", "connection-close"])
+def test_close_requests_get_a_closing_reply(handle, request_bytes):
+    with _connect(handle) as sock, sock.makefile("rb") as stream:
+        sock.sendall(request_bytes)
+        status, headers, _ = _read_response(stream)
+        assert status == 200
+        assert headers["connection"] == "close"
+        assert stream.read() == b""  # EOF
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"NONSENSE\r\n\r\n", 400),
+    (b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n", 413),
+], ids=["malformed", "too-large"])
+def test_error_replies_close_the_connection(handle, request_bytes, status):
+    with _connect(handle) as sock, sock.makefile("rb") as stream:
+        sock.sendall(request_bytes)
+        got, headers, _ = _read_response(stream)
+        assert got == status
+        assert headers["connection"] == "close"
+        assert stream.read() == b""  # EOF
+
+
+def test_stop_closes_idle_keep_alive_connections(tmp_path, caplog):
+    before = {p.pid for p in multiprocessing.active_children()}
+    handle = serve_in_thread(make_config(tmp_path))
+    workers = {p.pid for p in multiprocessing.active_children()} - before
+    assert len(workers) == 2
+    with _connect(handle) as sock, sock.makefile("rb") as stream:
+        sock.sendall(_get("/v1/healthz"))
+        assert _read_response(stream)[1]["connection"] == "keep-alive"
+        start = time.monotonic()
+        handle.stop()
+        assert time.monotonic() - start < server_module.IDLE_TIMEOUT_S / 6
+        assert stream.read() == b""  # the server hung up
+    alive = {p.pid for p in multiprocessing.active_children()}
+    assert not workers & alive
+    assert not handle.thread.is_alive()
+    del handle  # with its closed loop, a pending handler task is garbage
+    gc.collect()
+    assert "Task was destroyed" not in caplog.text
+
+
+def test_client_recovers_after_the_server_closes_its_connection(service):
+    assert service.health() is True
+    with pytest.raises(ServiceError) as exc:
+        service.submit("bench", suite="micro", workers=8)
+    assert exc.value.status == 400  # a closing reply
+    assert service.health() is True
+
+
+def test_client_resends_once_on_a_connection_closed_while_idle(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+    handle = serve_in_thread(make_config(tmp_path))
+    try:
+        client = ServiceClient(handle.url)
+        assert client.health() is True
+        time.sleep(0.6)  # the server times the idle connection out
+        assert client.stats()["jobs"]["submitted"] == 0
+    finally:
+        handle.stop()
+
+
+def test_one_client_shared_by_threads(service):
+    names = [f"copy_add_{i}" for i in range(40)]
+    results: dict[str, dict] = {}
+
+    def run(mine: list[str]) -> None:
+        for name in mine:
+            loop = COPY_ADD.replace("loop copy_add", f"loop {name}")
+            job = service.submit("compile", loop=loop)["job"]
+            results[name] = service.wait(job["id"], timeout=120)
+
+    threads = [
+        threading.Thread(target=run, args=(names[i::4],)) for i in range(4)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sorted(results) == sorted(names)
+    for name, record in results.items():
+        assert record["status"] == "done"
+        assert record["result"]["loop"] == name
+    assert service.stats()["jobs"]["executed"] == 40
